@@ -54,20 +54,44 @@ impl Eigh {
 /// # }
 /// ```
 pub fn eigh(a: &Mat) -> Result<Eigh, LinalgError> {
+    let timer = crate::kernel_timer();
+    let Some(mut z) = ql_input(a)? else {
+        return Ok(Eigh {
+            values: Vec::new(),
+            vectors: Mat::zeros(0, 0),
+        });
+    };
+    let n = z.nrows();
+    let mut d = vec![0.0; n];
+    let mut e = vec![0.0; n];
+    tred2(&mut z, &mut d, &mut e);
+    tqli(&mut d, &mut e, &mut z)?;
+    if !d.iter().all(|v| v.is_finite()) {
+        return Err(LinalgError::NonFinite {
+            what: "eigh eigenvalues",
+        });
+    }
+    sort_eigenpairs(&mut d, &mut z);
+    crate::kernel_record("eigh", timer);
+    Ok(Eigh {
+        values: d,
+        vectors: z,
+    })
+}
+
+/// The working copy [`eigh`] and [`eigvalsh`] decompose (`None` for a
+/// 0×0 input): `a` symmetrized, behind the `Site::Eigh` fault hook and
+/// the NaN/Inf guard.
+fn ql_input(a: &Mat) -> Result<Option<Mat>, LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
             rows: a.nrows(),
             cols: a.ncols(),
         });
     }
-    let n = a.nrows();
-    if n == 0 {
-        return Ok(Eigh {
-            values: Vec::new(),
-            vectors: Mat::zeros(0, 0),
-        });
+    if a.nrows() == 0 {
+        return Ok(None);
     }
-    let timer = crate::kernel_timer();
     // Work on a symmetrized copy so callers may pass nearly-symmetric input.
     let mut z = a.clone();
     z.symmetrize_mut();
@@ -91,104 +115,53 @@ pub fn eigh(a: &Mat) -> Result<Eigh, LinalgError> {
     if !z.as_slice().iter().all(|v| v.is_finite()) {
         return Err(LinalgError::NonFinite { what: "eigh input" });
     }
-    let mut d = vec![0.0; n];
-    let mut e = vec![0.0; n];
-    tred2(&mut z, &mut d, &mut e);
-    tqli(&mut d, &mut e, &mut z)?;
-    if !d.iter().all(|v| v.is_finite()) {
-        return Err(LinalgError::NonFinite {
-            what: "eigh eigenvalues",
-        });
-    }
-    sort_eigenpairs(&mut d, &mut z);
-    crate::kernel_record("eigh", timer);
-    Ok(Eigh {
-        values: d,
-        vectors: z,
-    })
+    Ok(Some(z))
 }
-
-/// Trailing-submatrix size from which the Householder sweep and the
-/// eigenvector back-transformation fan out to the pool. Below this,
-/// per-job overhead outweighs the O(m²) step cost.
-const TRED2_PARALLEL_MIN: usize = 128;
-
-/// Rows/columns per parallel chunk inside `tred2`.
-const TRED2_GRAIN: usize = 16;
 
 /// Flop floor (`n²·p/2` weighted dot products) below which
 /// [`spectral_accumulate`] stays serial.
 const SPECTRAL_PARALLEL_WORK: usize = 64 * 64 * 16;
 
-/// Should a step over `m` rows run on the pool? Adaptive: requires
-/// both the kernel-size floor and a worthwhile per-worker share, and
-/// an effective (host-clamped) pool wider than one worker.
-fn par_ok(m: usize) -> bool {
-    gfp_parallel::should_parallelize(m, TRED2_PARALLEL_MIN, 2 * TRED2_GRAIN)
-}
-
-/// Shareable raw view of a matrix buffer for pool jobs that write
-/// provably disjoint elements (different rows, or different columns).
-///
-/// SAFETY: every use below partitions the index space so that no two
-/// jobs write the same element and nothing written by one job is read
-/// by another within the same parallel region.
-#[derive(Clone, Copy)]
-struct RawMat(*mut f64, usize);
-unsafe impl Send for RawMat {}
-unsafe impl Sync for RawMat {}
-
-impl RawMat {
-    #[inline]
-    unsafe fn get(&self, i: usize, j: usize) -> f64 {
-        *self.0.add(i * self.1 + j)
-    }
-    #[inline]
-    unsafe fn at(&self, i: usize, j: usize) -> *mut f64 {
-        self.0.add(i * self.1 + j)
-    }
-}
-
-/// Shareable raw view of a vector buffer; same disjointness contract
-/// as [`RawMat`].
-#[derive(Clone, Copy)]
-struct RawVec(*mut f64);
-unsafe impl Send for RawVec {}
-unsafe impl Sync for RawVec {}
-
-impl RawVec {
-    #[inline]
-    unsafe fn at(&self, i: usize) -> *mut f64 {
-        self.0.add(i)
-    }
-}
-
 /// Computes only the eigenvalues of a symmetric matrix (ascending).
 ///
-/// Slightly cheaper than [`eigh`] because no eigenvectors are
-/// accumulated during the QL sweep.
+/// Cheaper than [`eigh`]: the Householder reduction skips forming `Q`
+/// and the QL sweep accumulates no rotations. The values are bitwise
+/// identical to [`eigh`]'s, since both run the same reduction and the
+/// same QL recurrence on `d` and `e`. Calls count as `eigh` calls in
+/// the kernel telemetry.
 ///
 /// # Errors
 ///
 /// Same conditions as [`eigh`].
 pub fn eigvalsh(a: &Mat) -> Result<Vec<f64>, LinalgError> {
-    // The tridiagonalization dominates; reuse the full path for simplicity
-    // and guaranteed consistency with `eigh`.
-    Ok(eigh(a)?.values)
+    let timer = crate::kernel_timer();
+    let Some(mut z) = ql_input(a)? else {
+        return Ok(Vec::new());
+    };
+    let n = z.nrows();
+    let mut hh = vec![0.0; n];
+    let mut e = vec![0.0; n];
+    tred2_reduce(&mut z, &mut hh, &mut e);
+    let mut d: Vec<f64> = (0..n).map(|i| z[(i, i)]).collect();
+    // `tqli` rotates over `z.nrows()` rows: none here.
+    tqli(&mut d, &mut e, &mut Mat::zeros(0, n))?;
+    if !d.iter().all(|v| v.is_finite()) {
+        return Err(LinalgError::NonFinite {
+            what: "eigh eigenvalues",
+        });
+    }
+    // Same comparator as `sort_eigenpairs`, so the order matches `eigh`.
+    d.sort_by(f64::total_cmp);
+    crate::kernel_record("eigh", timer);
+    Ok(d)
 }
 
 /// Householder reduction of a real symmetric matrix to tridiagonal form.
 ///
 /// On exit `a` holds the accumulated orthogonal transformation `Q`
 /// (so that `Qᵀ A Q` is tridiagonal), `d` the diagonal and `e` the
-/// subdiagonal (`e\[0\]` unused).
-///
-/// The two O(m²) trailing-submatrix phases of each Householder step
-/// and the O(n³) eigenvector back-transformation run on the pool for
-/// trailing sizes ≥ `TRED2_PARALLEL_MIN`. Every matrix element is
-/// written by exactly one chunk and accumulated in the same order as
-/// the serial loop, so the factorization is bitwise independent of
-/// the worker count.
+/// subdiagonal (`e\[0\]` unused). Runs serially; see
+/// [`tred2_reduce`] and [`tred2_form_q`].
 pub(crate) fn tred2(a: &mut Mat, d: &mut [f64], e: &mut [f64]) {
     let n = a.nrows();
     let mut hh = vec![0.0; n];
@@ -207,90 +180,95 @@ pub(crate) fn tred2(a: &mut Mat, d: &mut [f64], e: &mut [f64]) {
 /// unused). [`tred2_form_q`] turns the reflectors into an explicit
 /// `Q`; [`crate::tridiag::apply_reflectors`] applies them to a skinny
 /// matrix instead, skipping the O(n³) formation when only a few
-/// eigenvectors are needed.
+/// eigenvectors are needed. Upper slots of skipped steps' columns are
+/// left holding whatever the reduction last wrote; nothing reads them.
+///
+/// `a` must be exactly symmetric (both callers symmetrize their
+/// working copy first). The trailing block is then kept fully
+/// symmetric, so step `i` reads `(A·u)_j` along row `j` instead of
+/// down column `j`, and the rank-2 update streams whole rows. Every
+/// stored value is the same expression, summed in the same order, as
+/// in the textbook lower-triangle sweep (Numerical Recipes `tred2`):
+/// results are bitwise those of that sweep. The kernel runs serially:
+/// each step's O(m²) work is too small to amortize pool dispatch.
 pub(crate) fn tred2_reduce(a: &mut Mat, hh: &mut [f64], e: &mut [f64]) {
     let n = a.nrows();
     let ncols = a.ncols();
+    debug_assert!(
+        a.is_symmetric(0.0),
+        "tred2_reduce needs an exactly symmetric matrix"
+    );
     for i in (1..n).rev() {
         let l = i - 1;
         let mut h = 0.0;
         if l > 0 {
+            // Rows 0..=l are the trailing block; row i holds the
+            // reflector being built in its first i slots.
+            let (block, rest) = a.as_mut_slice().split_at_mut(i * ncols);
+            let u = &mut rest[..i];
             let mut scale = 0.0;
-            for k in 0..=l {
-                scale += a[(i, k)].abs();
+            for x in u.iter() {
+                scale += x.abs();
             }
             if scale == 0.0 {
-                e[i] = a[(i, l)];
+                e[i] = u[l];
             } else {
-                for k in 0..=l {
-                    a[(i, k)] /= scale;
-                    h += a[(i, k)] * a[(i, k)];
+                for x in u.iter_mut() {
+                    *x /= scale;
+                    h += *x * *x;
                 }
-                let mut f = a[(i, l)];
+                let f = u[l];
                 let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
                 e[i] = scale * g;
                 h -= f * g;
-                a[(i, l)] = f - g;
-                // Phase A: e[j] <- (A u)_j / h and the stored column
-                // a[(j,i)] <- a[(i,j)] / h. Each j writes only e[j]
-                // and a[(j,i)] and reads rows/columns no other j
-                // writes, so the loop fans out over j.
-                {
-                    let am = RawMat(a.as_mut_slice().as_mut_ptr(), ncols);
-                    let ev = RawVec(e.as_mut_ptr());
-                    let body = |range: std::ops::Range<usize>| unsafe {
-                        for j in range {
-                            let aij = am.get(i, j);
-                            *am.at(j, i) = aij / h;
-                            let mut g = 0.0;
-                            for k in 0..=j {
-                                g += am.get(j, k) * am.get(i, k);
-                            }
-                            for k in (j + 1)..=l {
-                                g += am.get(k, j) * am.get(i, k);
-                            }
-                            *ev.at(j) = g / h;
-                        }
-                    };
-                    if par_ok(l + 1) {
-                        gfp_parallel::parallel_for(l + 1, TRED2_GRAIN, body);
-                    } else {
-                        body(0..l + 1);
-                    }
+                u[l] = f - g;
+                let u = &*u;
+                // The stored companion column a[(j,i)] = u_j / h.
+                for (j, &uj) in u.iter().enumerate() {
+                    block[j * ncols + i] = uj / h;
                 }
-                // Scalar reduction f = Σ e[j]·a[(i,j)] stays
-                // sequential in ascending j — the fixed association
-                // order the determinism contract requires.
-                f = 0.0;
-                for j in 0..=l {
-                    f += e[j] * a[(i, j)];
+                // Phase A: e[j] = (A u)_j / h, four rows' dot products
+                // as independent chains (each still sums k ascending).
+                let row = |j: usize| &block[j * ncols..j * ncols + i];
+                let mut j = 0;
+                while j + 4 <= i {
+                    let (r0, r1, r2, r3) = (row(j), row(j + 1), row(j + 2), row(j + 3));
+                    let (mut g0, mut g1, mut g2, mut g3) = (0.0, 0.0, 0.0, 0.0);
+                    for k in 0..i {
+                        let x = u[k];
+                        g0 += r0[k] * x;
+                        g1 += r1[k] * x;
+                        g2 += r2[k] * x;
+                        g3 += r3[k] * x;
+                    }
+                    e[j] = g0 / h;
+                    e[j + 1] = g1 / h;
+                    e[j + 2] = g2 / h;
+                    e[j + 3] = g3 / h;
+                    j += 4;
+                }
+                while j < i {
+                    let mut g = 0.0;
+                    for (&ajk, &x) in row(j).iter().zip(u) {
+                        g += ajk * x;
+                    }
+                    e[j] = g / h;
+                    j += 1;
+                }
+                let mut f = 0.0;
+                for (&ej, &uj) in e.iter().zip(u) {
+                    f += ej * uj;
                 }
                 let hh = f / (h + h);
-                for j in 0..=l {
-                    e[j] -= hh * a[(i, j)];
+                for (ej, &uj) in e.iter_mut().zip(u) {
+                    *ej -= hh * uj;
                 }
-                // Phase B: symmetric rank-2 update of the trailing
-                // submatrix, one disjoint row per j. The serial
-                // original interleaved the e[j] update with the row
-                // update; with e fully updated first (above), each
-                // row computes the exact same expression.
-                {
-                    let am = RawMat(a.as_mut_slice().as_mut_ptr(), ncols);
-                    let er: &[f64] = e;
-                    let body = |range: std::ops::Range<usize>| unsafe {
-                        for j in range {
-                            let fj = am.get(i, j);
-                            let gj = er[j];
-                            for k in 0..=j {
-                                let delta = fj * er[k] + gj * am.get(i, k);
-                                *am.at(j, k) -= delta;
-                            }
-                        }
-                    };
-                    if par_ok(l + 1) {
-                        gfp_parallel::parallel_for(l + 1, TRED2_GRAIN, body);
-                    } else {
-                        body(0..l + 1);
+                // Phase B: symmetric rank-2 update of the whole block.
+                let e = &e[..i];
+                for (j, r) in block.chunks_mut(ncols).enumerate() {
+                    let (fj, gj) = (u[j], e[j]);
+                    for ((ajk, &ek), &uk) in r[..i].iter_mut().zip(e).zip(u) {
+                        *ajk -= fj * ek + gj * uk;
                     }
                 }
             }
@@ -304,31 +282,28 @@ pub(crate) fn tred2_reduce(a: &mut Mat, hh: &mut [f64], e: &mut [f64]) {
 }
 
 /// Back-transformation: accumulate `Q` in place by applying each
-/// stored Householder reflector to the columns built so far. Column j
-/// is read and written only by its own chunk; row i and column i are
-/// untouched inputs.
+/// stored Householder reflector to the columns built so far. The
+/// products `g_j = Σ_k a[(i,k)]·a[(k,j)]` are accumulated for all `j`
+/// at once, one row `k` at a time, so every pass streams rows; each
+/// `g_j` still sums `k` in ascending order.
 pub(crate) fn tred2_form_q(a: &mut Mat, hh: &[f64]) {
     let n = a.nrows();
-    let ncols = a.ncols();
+    let mut g = vec![0.0; n];
     for i in 0..n {
         if hh[i] != 0.0 {
-            let am = RawMat(a.as_mut_slice().as_mut_ptr(), ncols);
-            let body = |range: std::ops::Range<usize>| unsafe {
-                for j in range {
-                    let mut g = 0.0;
-                    for k in 0..i {
-                        g += am.get(i, k) * am.get(k, j);
-                    }
-                    for k in 0..i {
-                        let delta = g * am.get(k, i);
-                        *am.at(k, j) -= delta;
-                    }
+            let g = &mut g[..i];
+            g.fill(0.0);
+            for k in 0..i {
+                let aik = a[(i, k)];
+                for (gj, &akj) in g.iter_mut().zip(&a.row(k)[..i]) {
+                    *gj += aik * akj;
                 }
-            };
-            if par_ok(i) {
-                gfp_parallel::parallel_for(i, TRED2_GRAIN, body);
-            } else {
-                body(0..i);
+            }
+            for k in 0..i {
+                let aki = a[(k, i)];
+                for (akj, &gj) in a.row_mut(k)[..i].iter_mut().zip(g.iter()) {
+                    *akj -= gj * aki;
+                }
             }
         }
         a[(i, i)] = 1.0;
@@ -628,11 +603,187 @@ mod tests {
 
     #[test]
     fn eigvalsh_matches_eigh() {
-        let a = Mat::from_rows(&[&[3.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 3.0]]);
-        let v1 = eigvalsh(&a).unwrap();
-        let v2 = eigh(&a).unwrap().values;
-        for (a, b) in v1.iter().zip(v2.iter()) {
-            assert!((a - b).abs() < 1e-13);
+        let mut cases = vec![Mat::from_rows(&[
+            &[3.0, 1.0, 0.0],
+            &[1.0, 3.0, 1.0],
+            &[0.0, 1.0, 3.0],
+        ])];
+        for n in [1usize, 2, 5, 12, 33, 64, 102, 202] {
+            cases.push(random_sym(n as u64, n));
+            cases.push(zero_row_sym(n as u64 + 1000, n));
+        }
+        for a in &cases {
+            let v1 = eigvalsh(a).unwrap();
+            let v2 = eigh(a).unwrap().values;
+            assert_bits(&v1, &v2, &format!("eigvalsh vs eigh n={}", a.nrows()));
+        }
+    }
+
+    fn random_sym(seed: u64, n: usize) -> Mat {
+        let mut rng = gfp_rand::Rng::seed_from_u64(seed);
+        let mut m = Mat::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let v = 2.0 * rng.gen_f64() - 1.0;
+                m[(i, j)] = v;
+                m[(j, i)] = v;
+            }
+        }
+        m
+    }
+
+    /// A random symmetric matrix split into two diagonal blocks at row
+    /// [`zero_row`]. That row is all zero left of the diagonal, the
+    /// later (higher) steps never couple the blocks, so its own
+    /// Householder step sees `scale == 0`.
+    fn zero_row_sym(seed: u64, n: usize) -> Mat {
+        let mut m = random_sym(seed, n);
+        if let Some(r) = zero_row(n) {
+            for j in r..n {
+                for k in 0..r {
+                    m[(j, k)] = 0.0;
+                    m[(k, j)] = 0.0;
+                }
+            }
+        }
+        m
+    }
+
+    /// The zeroed row of [`zero_row_sym`]: the middle one, when its
+    /// step has a left part of at least two entries.
+    fn zero_row(n: usize) -> Option<usize> {
+        (n / 2 >= 2).then_some(n / 2)
+    }
+
+    fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (k, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: slot {k}: {x:?} vs {y:?}");
+        }
+    }
+
+    /// The textbook lower-triangle sweep (Numerical Recipes `tred2`):
+    /// `(A·u)_j` walks down column `j` below the diagonal and the
+    /// rank-2 update touches the lower triangle only. The reference
+    /// [`tred2_reduce`] must match bit for bit.
+    fn tred2_reduce_column_walk(a: &mut Mat, hh: &mut [f64], e: &mut [f64]) {
+        let n = a.nrows();
+        for i in (1..n).rev() {
+            let l = i - 1;
+            let mut h = 0.0;
+            if l > 0 {
+                let mut scale = 0.0;
+                for k in 0..=l {
+                    scale += a[(i, k)].abs();
+                }
+                if scale == 0.0 {
+                    e[i] = a[(i, l)];
+                } else {
+                    for k in 0..=l {
+                        a[(i, k)] /= scale;
+                        h += a[(i, k)] * a[(i, k)];
+                    }
+                    let mut f = a[(i, l)];
+                    let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+                    e[i] = scale * g;
+                    h -= f * g;
+                    a[(i, l)] = f - g;
+                    for j in 0..=l {
+                        a[(j, i)] = a[(i, j)] / h;
+                        let mut g = 0.0;
+                        for k in 0..=j {
+                            g += a[(j, k)] * a[(i, k)];
+                        }
+                        for k in (j + 1)..=l {
+                            g += a[(k, j)] * a[(i, k)];
+                        }
+                        e[j] = g / h;
+                    }
+                    f = 0.0;
+                    for j in 0..=l {
+                        f += e[j] * a[(i, j)];
+                    }
+                    let hh = f / (h + h);
+                    for j in 0..=l {
+                        e[j] -= hh * a[(i, j)];
+                    }
+                    for j in 0..=l {
+                        let fj = a[(i, j)];
+                        let gj = e[j];
+                        for k in 0..=j {
+                            a[(j, k)] -= fj * e[k] + gj * a[(i, k)];
+                        }
+                    }
+                }
+            } else {
+                e[i] = a[(i, l)];
+            }
+            hh[i] = h;
+        }
+        hh[0] = 0.0;
+        e[0] = 0.0;
+    }
+
+    /// The column-walk back-transformation: the reference for
+    /// [`tred2_form_q`].
+    fn tred2_form_q_column_walk(a: &mut Mat, hh: &[f64]) {
+        let n = a.nrows();
+        for i in 0..n {
+            if hh[i] != 0.0 {
+                for j in 0..i {
+                    let mut g = 0.0;
+                    for k in 0..i {
+                        g += a[(i, k)] * a[(k, j)];
+                    }
+                    for k in 0..i {
+                        a[(k, j)] -= g * a[(k, i)];
+                    }
+                }
+            }
+            a[(i, i)] = 1.0;
+            for j in 0..i {
+                a[(j, i)] = 0.0;
+                a[(i, j)] = 0.0;
+            }
+        }
+    }
+
+    #[test]
+    fn tred2_matches_column_walk_reference_bitwise() {
+        for n in [1usize, 2, 3, 5, 8, 12, 33, 64, 102, 202] {
+            for (label, m) in [
+                ("random", random_sym(n as u64, n)),
+                ("zero row", zero_row_sym(n as u64 + 1000, n)),
+            ] {
+                let what = format!("{label} n={n}");
+                let (mut got, mut want) = (m.clone(), m.clone());
+                let (mut hh_got, mut e_got) = (vec![0.0; n], vec![0.0; n]);
+                let (mut hh_want, mut e_want) = (vec![0.0; n], vec![0.0; n]);
+                tred2_reduce(&mut got, &mut hh_got, &mut e_got);
+                tred2_reduce_column_walk(&mut want, &mut hh_want, &mut e_want);
+                assert_bits(&e_got, &e_want, &format!("{what} e"));
+                assert_bits(&hh_got, &hh_want, &format!("{what} hh"));
+                for i in 0..n {
+                    assert_bits(&[got[(i, i)]], &[want[(i, i)]], &format!("{what} d[{i}]"));
+                    assert_bits(
+                        &got.row(i)[..i],
+                        &want.row(i)[..i],
+                        &format!("{what} reflector row {i}"),
+                    );
+                    if hh_want[i] != 0.0 {
+                        let col = |m: &Mat| (0..i).map(|k| m[(k, i)]).collect::<Vec<_>>();
+                        assert_bits(&col(&got), &col(&want), &format!("{what} companion {i}"));
+                    }
+                }
+                if label == "zero row" {
+                    if let Some(r) = zero_row(n) {
+                        assert_eq!(hh_want[r], 0.0, "{what}: step {r} must hit scale == 0");
+                    }
+                }
+                tred2_form_q(&mut got, &hh_got);
+                tred2_form_q_column_walk(&mut want, &hh_want);
+                assert_bits(got.as_slice(), want.as_slice(), &format!("{what} Q"));
+            }
         }
     }
 

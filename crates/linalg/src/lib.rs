@@ -9,10 +9,14 @@
 //! conic solver ([`svec::svec`] / [`svec::smat`]).
 //!
 //! Everything is `f64` and deterministic: the hot kernels
-//! ([`Mat::matmul`], [`eigh`], [`spectral_accumulate`]) are
+//! ([`Mat::matmul`], [`spectral_accumulate`], the CSR matvec, and the
+//! bisection and reflector application inside [`spectral_side`]) are
 //! parallelized over the std-only `gfp-parallel` pool, but every
 //! floating-point accumulation keeps a fixed association order, so
-//! results are bitwise identical for every `GFP_THREADS` setting.
+//! results are bitwise identical for every `GFP_THREADS` setting. The
+//! Householder reduction behind [`eigh`] and [`spectral_side`] runs
+//! serially: one step's O(m²) work is too small to pay for pool
+//! dispatch.
 //!
 //! # Example
 //!

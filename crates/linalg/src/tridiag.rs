@@ -21,10 +21,11 @@
 //! caller runs the dense path.
 //!
 //! Everything here is deterministic: fixed-seed inverse-iteration
-//! starts, fixed bisection order, sequential Gram–Schmidt. The only
-//! parallel pieces are the shared `tred2` reduction and the reflector
+//! starts, fixed bisection order, sequential Gram–Schmidt. The
+//! parallel pieces are the batched loose bisection and the reflector
 //! application, both of which follow the crate's bitwise determinism
-//! contract.
+//! contract; the `tred2` reduction shared with [`crate::eigh`] runs
+//! serially.
 
 use crate::eigen::tred2_reduce;
 use crate::{LinalgError, Mat};
@@ -675,10 +676,13 @@ impl TridiagLu {
 ///
 /// Works on the transpose of `s` (one contiguous buffer row per
 /// eigenvector) with a pre-transposed copy of the reflector matrix,
-/// so both inner loops stream contiguous memory. Columns are
-/// independent; they fan out to the pool in fixed chunks (each column
-/// is read and written by exactly one job), preserving the bitwise
-/// determinism contract.
+/// so both inner loops stream contiguous memory. Eigenvectors go four
+/// at a time, their dot products with each reflector as independent
+/// chains over one load of the reflector row. Groups of four are
+/// independent; they fan out to the pool (each eigenvector is read
+/// and written by exactly one job), and every eigenvector sees the
+/// same operations in the same order at any grouping, preserving the
+/// bitwise determinism contract.
 pub(crate) fn apply_reflectors(a: &Mat, hh: &[f64], s: &mut Mat) {
     let n = a.nrows();
     assert_eq!(s.nrows(), n, "reflector/vector shape mismatch");
@@ -696,6 +700,35 @@ pub(crate) fn apply_reflectors(a: &Mat, hh: &[f64], s: &mut Mat) {
         }
     }
     let apply_rows = |chunk: &mut [f64]| {
+        if chunk.len() == 4 * n {
+            let (r0, rest) = chunk.split_at_mut(n);
+            let (r1, rest) = rest.split_at_mut(n);
+            let (r2, r3) = rest.split_at_mut(n);
+            for i in 0..n {
+                if hh[i] == 0.0 {
+                    continue;
+                }
+                let arow = &a.row(i)[..i];
+                let acol = &at.row(i)[..i];
+                let (r0, r1, r2, r3) = (&mut r0[..i], &mut r1[..i], &mut r2[..i], &mut r3[..i]);
+                let (mut g0, mut g1, mut g2, mut g3) = (0.0, 0.0, 0.0, 0.0);
+                for k in 0..i {
+                    let x = arow[k];
+                    g0 += x * r0[k];
+                    g1 += x * r1[k];
+                    g2 += x * r2[k];
+                    g3 += x * r3[k];
+                }
+                for k in 0..i {
+                    let c = acol[k];
+                    r0[k] -= g0 * c;
+                    r1[k] -= g1 * c;
+                    r2[k] -= g2 * c;
+                    r3[k] -= g3 * c;
+                }
+            }
+            return;
+        }
         for r in chunk.chunks_mut(n) {
             for i in 0..n {
                 if hh[i] == 0.0 {
@@ -713,12 +746,12 @@ pub(crate) fn apply_reflectors(a: &Mat, hh: &[f64], s: &mut Mat) {
             }
         }
     };
+    let chunks: Vec<&mut [f64]> = st.chunks_mut(4 * n).collect();
     let work = n * n * ncols;
     if gfp_parallel::should_parallelize(work, 64 * 64 * 16, 32 * 32 * 16) {
-        let chunks: Vec<&mut [f64]> = st.chunks_mut(4 * n).collect();
         gfp_parallel::parallel_for_each_chunk(chunks, |_ci, chunk| apply_rows(chunk));
     } else {
-        apply_rows(&mut st);
+        chunks.into_iter().for_each(apply_rows);
     }
     for i in 0..n {
         for j in 0..ncols {
@@ -892,6 +925,48 @@ mod tests {
         for x in [-2.0, -0.5, 0.0, 0.3, 1.7] {
             let expect = dense.values.iter().filter(|&&l| l < x).count();
             assert_eq!(sturm_count(&d, &e, x), expect, "count at {x}");
+        }
+    }
+
+    /// The one-eigenvector-at-a-time reflector loop: the bitwise
+    /// reference for [`apply_reflectors`].
+    fn apply_reflectors_one_row(a: &Mat, hh: &[f64], s: &mut Mat) {
+        for j in 0..s.ncols() {
+            for i in 0..a.nrows() {
+                if hh[i] == 0.0 {
+                    continue;
+                }
+                let mut g = 0.0;
+                for k in 0..i {
+                    g += a[(i, k)] * s[(k, j)];
+                }
+                for k in 0..i {
+                    s[(k, j)] -= g * a[(k, i)];
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn apply_reflectors_matches_one_row_reference_bitwise() {
+        for n in [8usize, 33, 202] {
+            let mut q = random_sym(n as u64 + 31, n);
+            let (mut hh, mut e) = (vec![0.0; n], vec![0.0; n]);
+            tred2_reduce(&mut q, &mut hh, &mut e);
+            // 1..=9 columns: one and two groups of four, every remainder.
+            for cols in 1..=9 {
+                let mut rng = Rng::seed_from_u64((n * 16 + cols) as u64);
+                let mut got = Mat::zeros(n, cols);
+                for v in got.as_mut_slice() {
+                    *v = 2.0 * rng.gen_f64() - 1.0;
+                }
+                let mut want = got.clone();
+                apply_reflectors(&q, &hh, &mut got);
+                apply_reflectors_one_row(&q, &hh, &mut want);
+                for (k, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "n={n} cols={cols} slot {k}");
+                }
+            }
         }
     }
 

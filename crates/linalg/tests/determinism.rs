@@ -88,7 +88,8 @@ fn matmul_parallel_matches_serial_band_kernel() {
 #[test]
 fn eigh_is_bitwise_deterministic_across_worker_counts() {
     let mut rng = Rng::seed_from_u64(0x5eed_0003);
-    // 150 crosses TRED2_PARALLEL_MIN = 128; 60 stays sequential.
+    // `eigh` runs serially at every size; the pool width must still
+    // leave its bits alone.
     for n in [60, 150] {
         let m = random_sym(&mut rng, n);
         check_across_pools(&format!("eigh n={n}"), || {

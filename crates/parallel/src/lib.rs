@@ -1,9 +1,10 @@
 //! Std-only data parallelism for the `gfp` numeric kernels.
 //!
 //! The convex-iteration pipeline spends nearly all of its time in a
-//! handful of dense kernels (blocked matmul, the Householder sweep of
-//! `eigh`, PSD-cone reconstruction). This crate gives them a shared,
-//! dependency-free worker pool plus deterministic fan-out helpers:
+//! handful of dense kernels (blocked matmul, PSD-cone reconstruction,
+//! the bisection and reflector application of the partial
+//! eigensolver). This crate gives them a shared, dependency-free
+//! worker pool plus deterministic fan-out helpers:
 //!
 //! * [`ThreadPool`] — fixed worker set with **scoped** job submission
 //!   ([`ThreadPool::scoped`]): jobs may borrow stack data, and waiting

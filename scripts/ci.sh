@@ -222,6 +222,12 @@ fi
 target/release/gfp-trace diff target/scale-smoke/report.json \
     target/scale-smoke/report.json
 
+echo "== layered benchmark (smoke) =="
+# Toy sizes of the four end-to-end workloads (src/bin/benchmark), run
+# untraced and traced. The binary exits non-zero when a workload fails
+# one of its output checks or cannot run, which fails this gate.
+cargo run --release -q --bin benchmark -- --smoke
+
 echo "== clippy =="
 if cargo clippy --version >/dev/null 2>&1; then
     # Warnings are reported but only hard errors fail the gate (the

@@ -5,8 +5,9 @@
 
 use gfp_bench::microbench::Group;
 use gfp_conic::AdmmSettings;
-use gfp_core::lifted::{objective_matrix, Lift};
-use gfp_core::subproblems::{solve_subproblem1, solve_subproblem2, Sp1Backend};
+use gfp_core::lifted::{objective_matrix, AssemblyWorkspace, Lift};
+use gfp_core::neighbors::all_pairs;
+use gfp_core::subproblems::{solve_subproblem1, solve_subproblem2};
 use gfp_core::{
     Backend, FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SdpFloorplanner,
 };
@@ -24,13 +25,15 @@ fn bench_subproblem1() {
     for name in ["n10", "n30"] {
         let p = problem(name);
         let obj = objective_matrix(&p, &p.a, None);
-        let backend = Sp1Backend::Admm(AdmmSettings {
+        let backend = Backend::Admm(AdmmSettings {
             eps: 1e-4,
             max_iter: 4000,
             ..AdmmSettings::default()
         });
+        let plan = all_pairs(p.n);
+        let mut ws = AssemblyWorkspace::new();
         group.bench(name, 10, || {
-            solve_subproblem1(&p, &p.a, &obj, &backend, None).expect("sp1")
+            solve_subproblem1(&p, &p.a, &obj, &backend, None, None, &plan, &mut ws).expect("sp1")
         });
     }
 }

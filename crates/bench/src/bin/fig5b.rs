@@ -12,9 +12,10 @@ use std::time::Instant;
 use gfp_bench::{Budget, Table};
 use gfp_conic::ipm::BarrierSettings;
 use gfp_conic::AdmmSettings;
-use gfp_core::lifted::objective_matrix;
-use gfp_core::subproblems::{solve_subproblem1, Sp1Backend};
-use gfp_core::{GlobalFloorplanProblem, ProblemOptions};
+use gfp_core::lifted::{objective_matrix, AssemblyWorkspace};
+use gfp_core::neighbors::all_pairs;
+use gfp_core::subproblems::solve_subproblem1;
+use gfp_core::{Backend, GlobalFloorplanProblem, ProblemOptions};
 use gfp_linalg::{Mat, Qr};
 use gfp_netlist::suite::{generate, SuiteSpec};
 
@@ -71,12 +72,15 @@ fn main() {
             &p,
             &p.a,
             &obj,
-            &Sp1Backend::Admm(AdmmSettings {
+            &Backend::Admm(AdmmSettings {
                 eps: 1e-4,
                 max_iter: 4000,
                 ..AdmmSettings::default()
             }),
             None,
+            None,
+            &all_pairs(n),
+            &mut AssemblyWorkspace::new(),
         )
         .expect("admm solves");
         let secs = t0.elapsed().as_secs_f64();
@@ -93,11 +97,14 @@ fn main() {
             &p,
             &p.a,
             &obj,
-            &Sp1Backend::Ipm(BarrierSettings {
+            &Backend::Ipm(BarrierSettings {
                 eps: 1e-6,
                 ..BarrierSettings::default()
             }),
             None,
+            None,
+            &all_pairs(n),
+            &mut AssemblyWorkspace::new(),
         );
         let secs = t0.elapsed().as_secs_f64();
         match r {

@@ -137,52 +137,59 @@ impl Pipeline {
             )
         };
         let legal_seconds = t0.elapsed().as_secs_f64();
-        let phases = vec![
-            ("global".to_string(), t_global),
-            ("legalize".to_string(), legal_seconds),
-        ];
-        let result = match outcome {
-            Ok(legal) => MethodResult {
-                method: method.to_string(),
-                hpwl: Some(legal.hpwl),
-                global_seconds: t_global,
-                legal_seconds,
-                phases,
-                failure: None,
-            },
-            Err(e) => MethodResult {
-                method: method.to_string(),
-                hpwl: None,
-                global_seconds: t_global,
-                legal_seconds,
-                phases,
-                failure: Some(e.to_string()),
-            },
+        let (hpwl, failure) = match outcome {
+            Ok(legal) => (Some(legal.hpwl), None),
+            Err(e) => (None, Some(e.to_string())),
+        };
+        let result = MethodResult {
+            method: method.to_string(),
+            hpwl,
+            global_seconds: t_global,
+            legal_seconds,
+            phases: vec![
+                ("global".to_string(), t_global),
+                ("legalize".to_string(), legal_seconds),
+            ],
+            failure,
         };
         method_event(&result);
         result
+    }
+
+    /// Runs a global placer under the `pipeline.global` span, then
+    /// legalizes its centers with [`legalize_centers`](Self::legalize_centers).
+    /// A placer error becomes a failed result with its own
+    /// `pipeline.method` event.
+    fn global_then_legalize<E: std::fmt::Display>(
+        &self,
+        method: &str,
+        place: impl FnOnce() -> Result<Vec<(f64, f64)>, E>,
+    ) -> MethodResult {
+        let t0 = Instant::now();
+        let placed = {
+            let _span = telemetry::span("pipeline.global");
+            place()
+        };
+        let t = t0.elapsed().as_secs_f64();
+        match placed {
+            Ok(centers) => self.legalize_centers(method, &centers, t),
+            Err(e) => {
+                let r = MethodResult::failed(method, t, e.to_string());
+                method_event(&r);
+                r
+            }
+        }
     }
 
     /// Ours: the SDP convex-iteration floorplanner with the given
     /// settings (use [`sdp_settings`](Self::sdp_settings) for the
     /// budget default), then the shared legalizer.
     pub fn run_sdp_with(&self, settings: FloorplannerSettings) -> MethodResult {
-        let t0 = Instant::now();
-        let solved = {
-            let _span = telemetry::span("pipeline.global");
-            SdpFloorplanner::new(settings).solve(&self.problem)
-        };
-        match solved {
-            Ok(fp) => {
-                let t = t0.elapsed().as_secs_f64();
-                self.legalize_centers("ours", &fp.positions, t)
-            }
-            Err(e) => {
-                let r = MethodResult::failed("ours", t0.elapsed().as_secs_f64(), e.to_string());
-                method_event(&r);
-                r
-            }
-        }
+        self.global_then_legalize("ours", || {
+            SdpFloorplanner::new(settings)
+                .solve(&self.problem)
+                .map(|fp| fp.positions)
+        })
     }
 
     /// Ours behind the [`SolveSupervisor`]: same pipeline as
@@ -228,7 +235,10 @@ impl Pipeline {
         self.run_sdp_with(self.sdp_settings())
     }
 
-    /// Ours with specific enhancements / α (for the Fig. 4 sweeps).
+    /// Ours with specific enhancements / α (for the Fig. 4 sweeps). The
+    /// global solve runs on a problem captured at `aspect_limit`; its
+    /// centers are legalized against [`problem`](Self::problem)
+    /// (aspect limit 3), like every other method's.
     pub fn run_sdp_variant(
         &self,
         enhancements: Enhancements,
@@ -251,87 +261,42 @@ impl Pipeline {
             settings.max_alpha_rounds = 1; // pinned α, as in the sweep
             settings.max_iter = settings.max_iter.max(8);
         }
-        let t0 = Instant::now();
-        let solved = {
-            let _span = telemetry::span("pipeline.global");
-            SdpFloorplanner::new(settings).solve(&problem)
-        };
-        match solved {
-            Ok(fp) => {
-                let t = t0.elapsed().as_secs_f64();
-                // Legalize against the variant problem (its aspect limit).
-                self.legalize_centers("ours", &fp.positions, t)
-            }
-            Err(e) => {
-                let r = MethodResult::failed("ours", t0.elapsed().as_secs_f64(), e.to_string());
-                method_event(&r);
-                r
-            }
-        }
+        self.global_then_legalize("ours", || {
+            SdpFloorplanner::new(settings)
+                .solve(&problem)
+                .map(|fp| fp.positions)
+        })
     }
 
     /// The AR baseline → shared legalizer.
     pub fn run_ar(&self) -> MethodResult {
-        let t0 = Instant::now();
-        let placed = {
-            let _span = telemetry::span("pipeline.global");
-            ArFloorplanner::default().place(&self.problem)
-        };
-        match placed {
-            Ok(pl) => {
-                let t = t0.elapsed().as_secs_f64();
-                self.legalize_centers("ar", &pl.positions, t)
-            }
-            Err(e) => {
-                let r = MethodResult::failed("ar", t0.elapsed().as_secs_f64(), e.to_string());
-                method_event(&r);
-                r
-            }
-        }
+        self.global_then_legalize("ar", || {
+            ArFloorplanner::default()
+                .place(&self.problem)
+                .map(|pl| pl.positions)
+        })
     }
 
     /// The PP baseline → shared legalizer.
     pub fn run_pp(&self) -> MethodResult {
-        let t0 = Instant::now();
         let settings = PpSettings {
             restarts: if self.budget == Budget::Quick { 1 } else { 3 },
             ..PpSettings::default()
         };
-        let placed = {
-            let _span = telemetry::span("pipeline.global");
-            PpFloorplanner::new(settings).place(&self.problem)
-        };
-        match placed {
-            Ok(pl) => {
-                let t = t0.elapsed().as_secs_f64();
-                self.legalize_centers("pp", &pl.positions, t)
-            }
-            Err(e) => {
-                let r = MethodResult::failed("pp", t0.elapsed().as_secs_f64(), e.to_string());
-                method_event(&r);
-                r
-            }
-        }
+        self.global_then_legalize("pp", || {
+            PpFloorplanner::new(settings)
+                .place(&self.problem)
+                .map(|pl| pl.positions)
+        })
     }
 
     /// The QP baseline → shared legalizer.
     pub fn run_qp(&self) -> MethodResult {
-        let t0 = Instant::now();
-        let placed = {
-            let _span = telemetry::span("pipeline.global");
-            QuadraticPlacer::default().place(&self.problem)
-        };
-        match placed {
-            Ok(pl) => {
-                let t = t0.elapsed().as_secs_f64();
-                self.legalize_centers("qp", &pl.positions, t)
-            }
-            Err(e) => {
-                let r = MethodResult::failed("qp", t0.elapsed().as_secs_f64(), e.to_string());
-                method_event(&r);
-                r
-            }
-        }
+        self.global_then_legalize("qp", || {
+            QuadraticPlacer::default()
+                .place(&self.problem)
+                .map(|pl| pl.positions)
+        })
     }
 
     /// The Parquet-style annealer. It produces legal shapes directly
@@ -370,26 +335,11 @@ impl Pipeline {
 
     /// The analytical baseline → shared legalizer.
     pub fn run_analytical(&self) -> MethodResult {
-        let t0 = Instant::now();
-        let placed = {
-            let _span = telemetry::span("pipeline.global");
-            AnalyticalFloorplanner::default().place(&self.netlist, &self.problem, &self.outline)
-        };
-        match placed {
-            Ok(pl) => {
-                let t = t0.elapsed().as_secs_f64();
-                self.legalize_centers("analytical", &pl.positions, t)
-            }
-            Err(e) => {
-                let r = MethodResult::failed(
-                    "analytical",
-                    t0.elapsed().as_secs_f64(),
-                    e.to_string(),
-                );
-                method_event(&r);
-                r
-            }
-        }
+        self.global_then_legalize("analytical", || {
+            AnalyticalFloorplanner::default()
+                .place(&self.netlist, &self.problem, &self.outline)
+                .map(|pl| pl.positions)
+        })
     }
 }
 

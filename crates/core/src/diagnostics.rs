@@ -3,6 +3,7 @@
 
 use gfp_linalg::{eigvalsh, Mat};
 
+use crate::neighbors::all_pairs;
 use crate::{FloorplanError, GlobalFloorplanProblem};
 
 /// Relative rank gap of a lifted solution: the sum of all but the two
@@ -64,22 +65,18 @@ pub fn check_distance_feasibility(
     tolerance: f64,
 ) -> FeasibilityReport {
     assert_eq!(positions.len(), problem.n, "positions length mismatch");
-    let bounds = problem.distance_bounds(&problem.a);
+    let pairs = all_pairs(problem.n);
+    let bounds = problem.distance_bounds(&problem.a, &pairs);
     let mut violations = 0;
     let mut max_rel: f64 = 0.0;
-    let mut idx = 0;
-    for i in 0..problem.n {
-        for j in (i + 1)..problem.n {
-            let d2 = (positions[i].0 - positions[j].0).powi(2)
-                + (positions[i].1 - positions[j].1).powi(2);
-            let bound = bounds[idx];
-            idx += 1;
-            // A non-positive bound (e.g. two zero-area modules) is
-            // trivially satisfied and must not reach the division.
-            if bound > 0.0 && d2 < bound * (1.0 - tolerance) {
-                violations += 1;
-                max_rel = max_rel.max((bound - d2) / bound);
-            }
+    for (&(i, j), &bound) in pairs.iter().zip(&bounds) {
+        let d2 =
+            (positions[i].0 - positions[j].0).powi(2) + (positions[i].1 - positions[j].1).powi(2);
+        // A non-positive bound (e.g. two zero-area modules) is
+        // trivially satisfied and must not reach the division.
+        if bound > 0.0 && d2 < bound * (1.0 - tolerance) {
+            violations += 1;
+            max_rel = max_rel.max((bound - d2) / bound);
         }
     }
     FeasibilityReport {
@@ -274,7 +271,7 @@ mod tests {
             max_distance: vec![],
             min_distance: vec![],
         };
-        let bound = p.distance_bounds(&p.a)[0];
+        let bound = p.distance_bounds(&p.a, &[(0, 1)])[0];
         assert!(bound > 0.0);
         let tol = 0.1;
         let just_above = (bound * (1.0 - tol) * (1.0 + 1e-9)).sqrt();

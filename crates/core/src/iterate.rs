@@ -14,8 +14,8 @@ use gfp_telemetry as telemetry;
 
 use crate::enhance::{effective_adjacency, Enhancements};
 use crate::lifted::{objective_matrix, AssemblyWorkspace, Lift};
-use crate::neighbors::{neighbor_pairs, total_pairs, SparsifySettings};
-use crate::subproblems::{solve_subproblem1_sparse, solve_subproblem2, Sp1Backend};
+use crate::neighbors::{all_pairs, neighbor_pairs, total_pairs, SparsifySettings};
+use crate::subproblems::{solve_subproblem1, solve_subproblem2};
 use crate::{FloorplanError, GlobalFloorplanProblem};
 
 /// Conic backend selection for sub-problem 1.
@@ -25,6 +25,17 @@ pub enum Backend {
     Admm(AdmmSettings),
     /// Dense barrier IPM — accurate, small instances only, no PPM.
     Ipm(BarrierSettings),
+}
+
+impl Backend {
+    /// Stable name (`"admm"` or `"ipm"`), as recorded in round
+    /// summaries, supervisor events and degraded results.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Backend::Admm(_) => "admm",
+            Backend::Ipm(_) => "ipm",
+        }
+    }
 }
 
 /// Settings of the overall algorithm (Algorithm 1).
@@ -65,9 +76,9 @@ pub struct FloorplannerSettings {
     /// stays aligned while α grows.
     pub reset_direction: bool,
     /// Spatial-neighbor distance-constraint sparsification (see
-    /// [`crate::neighbors`]). The default engages automatically above
-    /// [`SparsifySettings::auto_threshold`] modules; when inactive the
-    /// solve is bitwise-identical to the dense all-pairs pipeline.
+    /// [`crate::neighbors`]). The default engages automatically from
+    /// [`AUTO_THRESHOLD`](crate::neighbors::AUTO_THRESHOLD) modules;
+    /// when inactive every round plans all pairs.
     pub sparsify: SparsifySettings,
     /// Label recorded on every [`RoundSummary`] row this solve
     /// produces (`"flat"`, or `"top"`/`"leaf"`/`"refine"` for the
@@ -177,8 +188,8 @@ pub struct RoundSummary {
     /// solve, `"top"`/`"leaf"`/`"refine"` for the hierarchical stages
     /// (from [`FloorplannerSettings::stage`]).
     pub stage: &'static str,
-    /// Distance-constraint rows assembled this round: the sparsified
-    /// pair-plan size, or `n(n−1)/2` on the dense path.
+    /// Distance-constraint rows assembled this round: the size of the
+    /// round's pair plan, `n(n−1)/2` unless the sparsifier engaged.
     pub constraints: u64,
     /// Last sub-problem-1 objective `<B̃ + αW, Z>`.
     pub objective: f64,
@@ -394,13 +405,9 @@ impl SdpFloorplanner {
         // backend needs the lifted matrix to have O(1) entries.
         let scale = problem.length_scale();
         let norm = problem.normalized();
-        let backend = match &st.backend {
-            Backend::Admm(s) => Sp1Backend::Admm(s.clone()),
-            Backend::Ipm(s) => Sp1Backend::Ipm(s.clone()),
-        };
         let mut state = OuterState::new(&norm, st);
         while state.round < st.max_alpha_rounds && !state.converged {
-            match run_alpha_round(&norm, scale, st, &backend, &mut state)? {
+            match run_alpha_round(&norm, scale, st, &st.backend, &mut state)? {
                 RoundOutcome::RankCertified => break,
                 RoundOutcome::InnerConverged | RoundOutcome::IterBudget => {
                     state.alpha *= st.alpha_growth;
@@ -448,7 +455,7 @@ pub fn run_alpha_round(
     problem: &GlobalFloorplanProblem,
     scale: f64,
     st: &FloorplannerSettings,
-    backend: &Sp1Backend,
+    backend: &Backend,
     state: &mut OuterState,
 ) -> Result<RoundOutcome, FloorplanError> {
     let _round_span = telemetry::span("sdp.alpha_round");
@@ -473,10 +480,10 @@ pub fn run_alpha_round(
     let alpha = state.alpha;
     let round_start_iter = state.global_iter;
     state.final_alpha = alpha;
-    // Sparsified pair plan, re-seeded once per α round from the best
-    // placement so far (spread layout before any iterate exists). The
-    // dense path (`plan = None`) is bitwise the historical pipeline.
-    let plan: Option<Vec<(usize, usize)>> = if st.sparsify.is_active(n) {
+    // The round's distance-constraint pair plan: every pair, unless
+    // the sparsifier engages and re-seeds it from the best placement
+    // so far (spread layout before any iterate exists).
+    let plan = if st.sparsify.is_active(n) {
         let seed: Vec<(f64, f64)> = match &state.best {
             Some(b) => b.positions.clone(),
             None => problem.spread_positions(),
@@ -486,11 +493,11 @@ pub fn run_alpha_round(
         let p = neighbor_pairs(&seed, &st.sparsify, round as u64, &keep);
         SPARSIFY_KEPT.add(p.len() as u64);
         SPARSIFY_PRUNED.add((total_pairs(n) - p.len()) as u64);
-        Some(p)
+        p
     } else {
-        None
+        all_pairs(n)
     };
-    let constraints = plan.as_ref().map_or(total_pairs(n), Vec::len) as u64;
+    let constraints = plan.len() as u64;
     // Round-level convergence aggregates for the `round.summary` row.
     let mut sp1_iterations = 0usize;
     let mut last_objective = f64::NAN;
@@ -526,15 +533,15 @@ pub fn run_alpha_round(
         } else {
             None
         };
-        let sp1 = solve_subproblem1_sparse(
+        let sp1 = solve_subproblem1(
             problem,
             &a_eff,
             &objective,
             backend,
             warm,
             reuse,
-            plan.as_deref(),
-            Some(&mut state.assembly),
+            &plan,
+            &mut state.assembly,
         )?;
         sp1_iterations += sp1.iterations;
         last_objective = sp1.objective;
@@ -680,10 +687,7 @@ pub fn run_alpha_round(
         alpha,
         iterations: state.global_iter - round_start_iter,
         sp1_iterations,
-        backend: match backend {
-            Sp1Backend::Admm(_) => "admm",
-            Sp1Backend::Ipm(_) => "ipm",
-        },
+        backend: backend.name(),
         stage: st.stage,
         constraints,
         objective: last_objective,
@@ -902,9 +906,8 @@ mod distance_control_tests {
         let (i, j) = (1usize, 2usize);
         let strong = 4.0 * (p.radii[i] + p.radii[j]).powi(2);
         p.add_min_distance(i, j, strong);
-        let bounds = p.distance_bounds(&p.a);
-        let idx = i * p.n - i * (i + 1) / 2 + (j - i - 1);
-        assert!((bounds[idx] - strong).abs() < 1e-9);
+        let bound = p.distance_bounds(&p.a, &[(i, j)])[0];
+        assert!((bound - strong).abs() < 1e-9);
         let mut s = FloorplannerSettings::fast();
         s.max_iter = 4;
         let fp = SdpFloorplanner::new(s).solve(&p).unwrap();

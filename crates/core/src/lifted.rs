@@ -8,6 +8,11 @@
 //! boundary-pin matrix `B̄` of Eq. 21 and the direction penalty
 //! `α·W`) are assembled as one symmetric matrix whose `svec` is the
 //! cost vector.
+//!
+//! Both assemblers take a pair plan and emit one distance row per
+//! planned pair (see [`crate::neighbors`]). The convex iteration plans
+//! every pair unless the sparsifier engages, so there is one assembly
+//! path for the dense and the sparsified problem.
 
 use gfp_conic::ipm::SdpProblem;
 use gfp_conic::{ConeProgram, ConeProgramBuilder};
@@ -185,7 +190,6 @@ pub fn objective_matrix(
 
     // Boundary pins (Eq. 21): Σ_ij Ā_ij (G_ii − 2 x_i·x̄_j + ‖x̄_j‖²).
     let mut constant = 0.0;
-    let num_pads = problem.pad_positions.len();
     for i in 0..n {
         let mut weight_sum = 0.0;
         let mut wx = 0.0;
@@ -211,7 +215,6 @@ pub fn objective_matrix(
         m[(2 + i, 1)] += -wy;
         m[(1, 2 + i)] += -wy;
     }
-    let _ = num_pads;
 
     // Direction penalty α·W.
     if let Some((w, alpha)) = direction {
@@ -229,8 +232,8 @@ pub fn objective_matrix(
 /// α rounds so repeated sub-problem-1 assembly reuses its row, offset
 /// and triplet buffers instead of reallocating them every round (the
 /// same hoisting pattern as the ADMM `CgWorkspace`). A workspace never
-/// changes the assembled program — builds through a workspace are
-/// bitwise-identical to builds through a fresh builder.
+/// changes the assembled program — builds through a warm workspace
+/// are bitwise-identical to builds through a new one.
 #[derive(Debug, Clone, Default)]
 pub struct AssemblyWorkspace {
     builder: Option<ConeProgramBuilder>,
@@ -255,8 +258,13 @@ impl AssemblyWorkspace {
 /// Builds the ADMM cone program for sub-problem 1 (Eq. 18), with the
 /// given effective connectivity and assembled objective.
 ///
-/// Equivalent to [`build_admm_program_sparse`] with a dense (all-pairs)
-/// plan and no workspace.
+/// `pairs` is the distance-constraint plan: one row per planned pair,
+/// in plan order, with bounds from
+/// [`GlobalFloorplanProblem::distance_bounds`]. The convex iteration
+/// passes [`crate::neighbors::all_pairs`] unless the sparsifier is
+/// active. The program is assembled into `workspace`'s retained
+/// builder (allocation-free once warm); the workspace never changes
+/// the output.
 ///
 /// # Errors
 ///
@@ -265,59 +273,18 @@ pub fn build_admm_program(
     problem: &GlobalFloorplanProblem,
     a_eff: &Mat,
     objective: &LiftedObjective,
-) -> Result<ConeProgram, FloorplanError> {
-    build_admm_program_sparse(problem, a_eff, objective, None, None)
-}
-
-/// [`build_admm_program`] with an optional sparse pair plan and an
-/// optional reusable assembly workspace.
-///
-/// * `pairs: None` emits the dense all-pairs distance rows — bitwise
-///   the program `build_admm_program` has always produced. `Some(plan)`
-///   emits one distance row per planned pair, in plan order, with
-///   bounds from
-///   [`GlobalFloorplanProblem::distance_bounds_for_pairs`]; a plan
-///   covering every pair is bitwise-identical to the dense path.
-/// * `workspace: Some(ws)` assembles into the workspace's retained
-///   builder (allocation-free once warm); `None` uses a fresh builder.
-///   The choice never affects the output.
-///
-/// # Errors
-///
-/// Propagates builder validation failures.
-pub fn build_admm_program_sparse(
-    problem: &GlobalFloorplanProblem,
-    a_eff: &Mat,
-    objective: &LiftedObjective,
-    pairs: Option<&[(usize, usize)]>,
-    workspace: Option<&mut AssemblyWorkspace>,
-) -> Result<ConeProgram, FloorplanError> {
-    let lift = Lift::new(problem.n);
-    match workspace {
-        Some(ws) => assemble_admm(ws.builder(lift.dim), &lift, problem, a_eff, objective, pairs),
-        None => {
-            let mut builder = ConeProgramBuilder::new(lift.dim);
-            assemble_admm(&mut builder, &lift, problem, a_eff, objective, pairs)
-        }
-    }
-}
-
-fn assemble_admm(
-    builder: &mut ConeProgramBuilder,
-    lift: &Lift,
-    problem: &GlobalFloorplanProblem,
-    a_eff: &Mat,
-    objective: &LiftedObjective,
-    pairs: Option<&[(usize, usize)]>,
+    pairs: &[(usize, usize)],
+    workspace: &mut AssemblyWorkspace,
 ) -> Result<ConeProgram, FloorplanError> {
     let n = problem.n;
+    let lift = Lift::new(n);
+    let builder = workspace.builder(lift.dim);
 
     // Pre-size the row buckets (a no-op on the program contents; it
-    // only avoids grow-reallocations in the reusable-builder path).
-    let num_dist = pairs.map_or(n * (n - 1) / 2, <[_]>::len);
+    // only avoids grow-reallocations in the reusable builder).
     builder.reserve_ineq(
-        num_dist + problem.max_distance.len() + 4 * n,
-        3 * (num_dist + problem.max_distance.len()) + 4 * n,
+        pairs.len() + problem.max_distance.len() + 4 * n,
+        3 * (pairs.len() + problem.max_distance.len()) + 4 * n,
     );
 
     // Objective.
@@ -355,39 +322,17 @@ fn assemble_admm(
         }
     }
 
-    // Pairwise distance constraints (Eq. 11 / 26), dense or restricted
-    // to the sparse pair plan.
-    match pairs {
-        None => {
-            let bounds = problem.distance_bounds(a_eff);
-            let mut bidx = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    builder.add_ge(
-                        &[
-                            (lift.g_index(i, i), 1.0),
-                            (lift.g_index(j, j), 1.0),
-                            (lift.g_index(i, j), -SQRT2),
-                        ],
-                        bounds[bidx],
-                    );
-                    bidx += 1;
-                }
-            }
-        }
-        Some(plan) => {
-            let bounds = problem.distance_bounds_for_pairs(a_eff, plan);
-            for (&(i, j), &bound) in plan.iter().zip(&bounds) {
-                builder.add_ge(
-                    &[
-                        (lift.g_index(i, i), 1.0),
-                        (lift.g_index(j, j), 1.0),
-                        (lift.g_index(i, j), -SQRT2),
-                    ],
-                    bound,
-                );
-            }
-        }
+    // Pairwise distance constraints (Eq. 11 / 26) over the pair plan.
+    let bounds = problem.distance_bounds(a_eff, pairs);
+    for (&(i, j), &bound) in pairs.iter().zip(&bounds) {
+        builder.add_ge(
+            &[
+                (lift.g_index(i, i), 1.0),
+                (lift.g_index(j, j), 1.0),
+                (lift.g_index(i, j), -SQRT2),
+            ],
+            bound,
+        );
     }
 
     // User maximum-distance constraints (Section IV-D): D_ij ≤ bound.
@@ -421,7 +366,8 @@ fn assemble_admm(
     Ok(builder.build()?)
 }
 
-/// Builds the barrier-IPM problem for sub-problem 1.
+/// Builds the barrier-IPM problem for sub-problem 1, with the same
+/// `pairs` contract as [`build_admm_program`].
 ///
 /// # Errors
 ///
@@ -432,23 +378,7 @@ pub fn build_ipm_problem(
     problem: &GlobalFloorplanProblem,
     a_eff: &Mat,
     objective: &LiftedObjective,
-) -> Result<SdpProblem, FloorplanError> {
-    build_ipm_problem_sparse(problem, a_eff, objective, None)
-}
-
-/// [`build_ipm_problem`] with an optional sparse pair plan; the same
-/// `pairs` contract as [`build_admm_program_sparse`] (`None` is bitwise
-/// the dense problem).
-///
-/// # Errors
-///
-/// Returns [`FloorplanError::UnsupportedByBackend`] when the problem
-/// has pre-placed modules.
-pub fn build_ipm_problem_sparse(
-    problem: &GlobalFloorplanProblem,
-    a_eff: &Mat,
-    objective: &LiftedObjective,
-    pairs: Option<&[(usize, usize)]>,
+    pairs: &[(usize, usize)],
 ) -> Result<SdpProblem, FloorplanError> {
     if problem.has_fixed_modules() {
         return Err(FloorplanError::UnsupportedByBackend {
@@ -463,37 +393,16 @@ pub fn build_ipm_problem_sparse(
     sdp.eq.push((vec![(lift.idx(0, 0), 1.0)], 1.0));
     sdp.eq.push((vec![(lift.idx(1, 1), 1.0)], 1.0));
     sdp.eq.push((vec![(lift.idx(1, 0), 1.0)], 0.0));
-    match pairs {
-        None => {
-            let bounds = problem.distance_bounds(a_eff);
-            let mut bidx = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    sdp.ineq.push((
-                        vec![
-                            (lift.g_index(i, i), 1.0),
-                            (lift.g_index(j, j), 1.0),
-                            (lift.g_index(i, j), -SQRT2),
-                        ],
-                        bounds[bidx],
-                    ));
-                    bidx += 1;
-                }
-            }
-        }
-        Some(plan) => {
-            let bounds = problem.distance_bounds_for_pairs(a_eff, plan);
-            for (&(i, j), &bound) in plan.iter().zip(&bounds) {
-                sdp.ineq.push((
-                    vec![
-                        (lift.g_index(i, i), 1.0),
-                        (lift.g_index(j, j), 1.0),
-                        (lift.g_index(i, j), -SQRT2),
-                    ],
-                    bound,
-                ));
-            }
-        }
+    let bounds = problem.distance_bounds(a_eff, pairs);
+    for (&(i, j), &bound) in pairs.iter().zip(&bounds) {
+        sdp.ineq.push((
+            vec![
+                (lift.g_index(i, i), 1.0),
+                (lift.g_index(j, j), 1.0),
+                (lift.g_index(i, j), -SQRT2),
+            ],
+            bound,
+        ));
     }
     for &(i, j, bound) in &problem.max_distance {
         sdp.ineq.push((
@@ -521,6 +430,7 @@ pub fn build_ipm_problem_sparse(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neighbors::all_pairs;
     use crate::ProblemOptions;
     use gfp_netlist::suite;
 
@@ -622,11 +532,18 @@ mod tests {
         assert!((&diff - &w.scaled(2.0)).norm_max() < 1e-12);
     }
 
+    /// Assembles the ADMM program over the all-pairs plan through a
+    /// fresh workspace.
+    fn all_pairs_admm(p: &GlobalFloorplanProblem, obj: &LiftedObjective) -> ConeProgram {
+        let plan = all_pairs(p.n);
+        build_admm_program(p, &p.a, obj, &plan, &mut AssemblyWorkspace::new()).unwrap()
+    }
+
     #[test]
     fn admm_program_dimensions() {
         let p = problem();
         let obj = objective_matrix(&p, &p.a, None);
-        let prog = build_admm_program(&p, &p.a, &obj).unwrap();
+        let prog = all_pairs_admm(&p, &obj);
         let lift = Lift::new(p.n);
         assert_eq!(prog.num_vars(), lift.dim);
         // rows: 3 identity eqs + 45 distance ineqs + PSD block rows.
@@ -634,24 +551,22 @@ mod tests {
     }
 
     #[test]
-    fn full_plan_and_workspace_are_bitwise_dense() {
+    fn warm_workspace_is_bitwise_fresh() {
         let p = problem();
         let obj = objective_matrix(&p, &p.a, None);
-        let dense = build_admm_program(&p, &p.a, &obj).unwrap();
-        let plan = crate::neighbors::all_pairs(p.n);
+        let fresh = all_pairs_admm(&p, &obj);
+        let plan = all_pairs(p.n);
         let mut ws = AssemblyWorkspace::new();
-        // Full plan through a warm workspace, twice: both builds must be
-        // bitwise-identical to the classic dense assembly.
+        // Warm the workspace on a smaller program first, then build the
+        // full plan through it twice: both builds must be bitwise the
+        // program a new workspace assembles.
+        build_admm_program(&p, &p.a, &obj, &plan[..7], &mut ws).unwrap();
         for _ in 0..2 {
-            let sparse =
-                build_admm_program_sparse(&p, &p.a, &obj, Some(&plan), Some(&mut ws)).unwrap();
-            assert_eq!(sparse.c, dense.c);
-            assert_eq!(sparse.b, dense.b);
-            assert_eq!(sparse.cones, dense.cones);
-            assert_eq!(
-                sparse.a.to_dense().as_slice(),
-                dense.a.to_dense().as_slice()
-            );
+            let warm = build_admm_program(&p, &p.a, &obj, &plan, &mut ws).unwrap();
+            assert_eq!(warm.c, fresh.c);
+            assert_eq!(warm.b, fresh.b);
+            assert_eq!(warm.cones, fresh.cones);
+            assert_eq!(warm.a.to_dense().as_slice(), fresh.a.to_dense().as_slice());
         }
     }
 
@@ -662,13 +577,10 @@ mod tests {
         let lift = Lift::new(p.n);
         // Keep only the first 12 pairs: 3 identity eqs + 12 distance
         // ineqs + PSD rows.
-        let plan: Vec<(usize, usize)> = crate::neighbors::all_pairs(p.n)
-            .into_iter()
-            .take(12)
-            .collect();
-        let prog = build_admm_program_sparse(&p, &p.a, &obj, Some(&plan), None).unwrap();
+        let plan = &all_pairs(p.n)[..12];
+        let prog = build_admm_program(&p, &p.a, &obj, plan, &mut AssemblyWorkspace::new()).unwrap();
         assert_eq!(prog.num_rows(), 3 + 12 + lift.dim);
-        let sdp = build_ipm_problem_sparse(&p, &p.a, &obj, Some(&plan)).unwrap();
+        let sdp = build_ipm_problem(&p, &p.a, &obj, plan).unwrap();
         assert_eq!(sdp.ineq.len(), 12);
     }
 
@@ -679,7 +591,7 @@ mod tests {
         let p = GlobalFloorplanProblem::from_netlist(&nl, &ProblemOptions::default()).unwrap();
         let obj = objective_matrix(&p, &p.a, None);
         assert!(matches!(
-            build_ipm_problem(&p, &p.a, &obj),
+            build_ipm_problem(&p, &p.a, &obj, &all_pairs(p.n)),
             Err(FloorplanError::UnsupportedByBackend { .. })
         ));
     }
@@ -690,7 +602,7 @@ mod tests {
         let nl = b.netlist.with_fixed_module(2, 10.0, 20.0);
         let p = GlobalFloorplanProblem::from_netlist(&nl, &ProblemOptions::default()).unwrap();
         let obj = objective_matrix(&p, &p.a, None);
-        let prog = build_admm_program(&p, &p.a, &obj).unwrap();
+        let prog = all_pairs_admm(&p, &obj);
         // 3 identity + 2 coordinate + 1 Gram equality rows.
         let lift = Lift::new(p.n);
         assert_eq!(prog.num_rows(), 6 + 45 + lift.dim);
@@ -705,7 +617,7 @@ mod tests {
         };
         let p = GlobalFloorplanProblem::from_netlist(&b.netlist, &opts).unwrap();
         let obj = objective_matrix(&p, &p.a, None);
-        let prog = build_admm_program(&p, &p.a, &obj).unwrap();
+        let prog = all_pairs_admm(&p, &obj);
         let lift = Lift::new(p.n);
         assert_eq!(prog.num_rows(), 3 + 45 + 4 * 10 + lift.dim);
     }

@@ -13,31 +13,40 @@
 //!   nearest neighbors — an adaptive radius, since the covered
 //!   distance shrinks wherever the placement is dense;
 //! * a small random long-range **stabilizer** set (drawn from
-//!   `gfp-rand`, seeded by `seed ^ hash(round)`) guards against the
-//!   collapse modes a purely local constraint set allows early on,
-//!   when distant modules still overlap badly;
+//!   `gfp-rand`, seeded by a fixed seed mixed with the round index)
+//!   guards against the collapse modes a purely local constraint set
+//!   allows early on, when distant modules still overlap badly;
 //! * user `min_distance` pairs are always kept — they encode explicit
 //!   keep-out intent and must never be pruned.
 //!
-//! The plan is a sorted, deduplicated `(i, j)` list with `i < j`, the
-//! same lexicographic order the dense generators use, so a plan that
-//! covers every pair reproduces the dense constraint set **bitwise**
-//! (see [`SparsifySettings::target_degree`]). Everything here is
-//! sequential and seeded: the plan is a pure function of
-//! `(positions, settings, round, always_keep)` and is identical at any
-//! worker count.
+//! A plan is a sorted, deduplicated `(i, j)` list with `i < j`. Every
+//! sub-problem-1 solve assembles its distance rows from one: the
+//! convex iteration passes [`all_pairs`] while the sparsifier is
+//! inactive, and a kNN plan at a degree that covers every pair is
+//! exactly [`all_pairs`] (see [`SparsifySettings::target_degree`]).
+//! Everything here is sequential and seeded: the plan is a pure
+//! function of `(positions, settings, round, always_keep)` and is
+//! identical at any worker count.
 
 use gfp_rand::Rng;
+
+/// Module count at which [`SparsifyMode::Auto`] engages. It keeps
+/// every shipped n ≤ 200 instance — and the golden n10 trace — on the
+/// all-pairs plan.
+pub const AUTO_THRESHOLD: usize = 256;
+
+/// Base RNG seed of the stabilizer draw ("SPAR"), mixed with the round
+/// index so every α round gets a fresh long-range sample.
+const STABILIZER_SEED: u64 = 0x5350_4152;
 
 /// When the sparsifier engages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SparsifyMode {
-    /// Never sparsify: every solve uses the dense all-pairs row set,
-    /// bitwise-identical to the pre-sparsification pipeline (the same
+    /// Never sparsify: every round plans all pairs (the same
     /// kill-switch discipline as the spectral fast path).
     Off,
-    /// Sparsify when the instance has at least
-    /// [`SparsifySettings::auto_threshold`] modules (default).
+    /// Sparsify when the instance has at least [`AUTO_THRESHOLD`]
+    /// modules (default).
     Auto,
     /// Always sparsify, regardless of size.
     On,
@@ -48,10 +57,6 @@ pub enum SparsifyMode {
 pub struct SparsifySettings {
     /// Engagement policy; see [`SparsifyMode`].
     pub mode: SparsifyMode,
-    /// Module count at which [`SparsifyMode::Auto`] engages. The
-    /// default (256) keeps every shipped n ≤ 200 instance — and the
-    /// golden n10 trace — on the dense path.
-    pub auto_threshold: usize,
     /// Nearest neighbors kept per module. When
     /// `target_degree ≥ n − 1` the plan is exactly the full pair set,
     /// which makes sparsify-on bitwise-equivalent to sparsify-off —
@@ -59,19 +64,14 @@ pub struct SparsifySettings {
     pub target_degree: usize,
     /// Random long-range pairs added per module each round.
     pub stabilizers_per_module: usize,
-    /// Base RNG seed for the stabilizer draw (mixed with the round
-    /// index so every α round gets a fresh long-range sample).
-    pub seed: u64,
 }
 
 impl Default for SparsifySettings {
     fn default() -> Self {
         SparsifySettings {
             mode: SparsifyMode::Auto,
-            auto_threshold: 256,
             target_degree: 24,
             stabilizers_per_module: 2,
-            seed: 0x5350_4152, // "SPAR"
         }
     }
 }
@@ -82,7 +82,7 @@ impl SparsifySettings {
         match self.mode {
             SparsifyMode::Off => false,
             SparsifyMode::On => true,
-            SparsifyMode::Auto => n >= self.auto_threshold,
+            SparsifyMode::Auto => n >= AUTO_THRESHOLD,
         }
     }
 }
@@ -92,8 +92,8 @@ pub fn total_pairs(n: usize) -> usize {
     n * (n - 1) / 2
 }
 
-/// Every pair `(i, j)` with `i < j` in lexicographic order — the dense
-/// plan.
+/// Every pair `(i, j)` with `i < j` in lexicographic order — the plan
+/// of every round the sparsifier does not engage.
 pub fn all_pairs(n: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::with_capacity(total_pairs(n));
     for i in 0..n {
@@ -125,7 +125,7 @@ pub fn neighbor_pairs(
         return Vec::new();
     }
     // A degree covering every other module means nothing is pruned:
-    // return the dense plan exactly (bitwise-equivalence hook).
+    // return the all-pairs plan exactly (bitwise-equivalence hook).
     if settings.target_degree + 1 >= n {
         return all_pairs(n);
     }
@@ -207,8 +207,7 @@ pub fn neighbor_pairs(
     }
 
     // --- long-range stabilizers ----------------------------------------
-    let mut rng =
-        Rng::seed_from_u64(settings.seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = Rng::seed_from_u64(STABILIZER_SEED ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     for i in 0..n {
         for _ in 0..settings.stabilizers_per_module {
             let j = rng.gen_range(0..n);
@@ -320,7 +319,7 @@ mod tests {
         let pos = vec![(5.0, 5.0); 50];
         let plan = neighbor_pairs(&pos, &SparsifySettings::default(), 0, &[]);
         assert!(!plan.is_empty());
-        // Tiny instance falls through to the dense plan.
+        // Tiny instance falls through to the all-pairs plan.
         let two = neighbor_pairs(&[(0.0, 0.0), (1.0, 1.0)], &SparsifySettings::default(), 0, &[]);
         assert_eq!(two, vec![(0, 1)]);
         assert!(neighbor_pairs(&[(0.0, 0.0)], &SparsifySettings::default(), 0, &[]).is_empty());

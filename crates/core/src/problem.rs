@@ -3,6 +3,7 @@
 use gfp_linalg::Mat;
 use gfp_netlist::{adjacency, Netlist, Outline};
 
+use crate::neighbors::all_pairs;
 use crate::FloorplanError;
 
 /// Options controlling how a netlist becomes an SDP instance.
@@ -253,55 +254,13 @@ impl GlobalFloorplanProblem {
 
     /// Pairwise distance-square lower bounds `rhs_ij` (Eq. 11 / 26)
     /// for the *static* aspect configuration, given the connectivity
-    /// matrix in effect (`a_eff`, which the enhancements may reweight).
-    ///
-    /// Returned as a flat vector over pairs `i < j` in lexicographic
-    /// order.
-    pub fn distance_bounds(&self, a_eff: &Mat) -> Vec<f64> {
-        let n = self.n;
-        let k = self.aspect_limit;
-        let deg: Vec<f64> = (0..n)
-            .map(|i| (0..n).map(|j| a_eff[(i, j)]).sum())
-            .collect();
-        let k_pair = |i: usize, j: usize| -> f64 {
-            if deg[i] <= 0.0 {
-                return k;
-            }
-            (a_eff[(i, j)] / deg[i]) * (k - 1.0) + 1.0
-        };
-        let mut out = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let (ri, rj) = (self.radii[i], self.radii[j]);
-                let bound = if k == 1.0 {
-                    (ri + rj) * (ri + rj)
-                } else {
-                    let kij = k_pair(i, j);
-                    let kji = k_pair(j, i);
-                    let b1 = rj - ri + 2.0 * ri / kij;
-                    let b2 = ri - rj + 2.0 * rj / kji;
-                    (b1 * b1).max(b2 * b2)
-                };
-                out.push(bound);
-            }
-        }
-        // User minimum-distance overrides strengthen the defaults.
-        for &(i, j, b) in &self.min_distance {
-            let idx = i * n - i * (i + 1) / 2 + (j - i - 1);
-            if b > out[idx] {
-                out[idx] = b;
-            }
-        }
-        out
-    }
-
-    /// [`distance_bounds`](Self::distance_bounds) restricted to an
-    /// explicit pair plan (sorted `(i, j)` with `i < j`, as produced by
+    /// matrix in effect (`a_eff`, which the enhancements may reweight)
+    /// and a pair plan (sorted `(i, j)` with `i < j`, such as
+    /// [`crate::neighbors::all_pairs`] or
     /// [`crate::neighbors::neighbor_pairs`]). `out[k]` is the bound for
-    /// `pairs[k]`, computed with arithmetic identical to the dense
-    /// generator — a plan covering every pair yields bitwise the same
-    /// values in the same order.
-    pub fn distance_bounds_for_pairs(&self, a_eff: &Mat, pairs: &[(usize, usize)]) -> Vec<f64> {
+    /// `pairs[k]`. User `min_distance` overrides strengthen the bound
+    /// of every planned pair they name.
+    pub fn distance_bounds(&self, a_eff: &Mat, pairs: &[(usize, usize)]) -> Vec<f64> {
         let n = self.n;
         let k = self.aspect_limit;
         let deg: Vec<f64> = (0..n)
@@ -329,7 +288,7 @@ impl GlobalFloorplanProblem {
             out.push(bound);
         }
         // User minimum-distance overrides strengthen the defaults; the
-        // pair plan always retains these pairs, so the lookup succeeds.
+        // sparsifier always plans these pairs, so the lookup succeeds.
         for &(i, j, b) in &self.min_distance {
             if let Ok(pos) = pairs.binary_search(&(i, j)) {
                 if b > out[pos] {
@@ -380,27 +339,17 @@ impl GlobalFloorplanProblem {
                 })
                 .collect()
         };
-        let bounds = self.distance_bounds(&self.a);
+        let pairs = all_pairs(n);
+        let bounds = self.distance_bounds(&self.a, &pairs);
         // Grow the circle until every movable pair clears its bound
         // with 10 % margin (fixed modules are respected as-is).
         for _ in 0..60 {
             let pos = layout(radius);
-            let mut ok = true;
-            let mut idx = 0;
-            'check: for i in 0..n {
-                for j in (i + 1)..n {
-                    let d2 = (pos[i].0 - pos[j].0).powi(2) + (pos[i].1 - pos[j].1).powi(2);
-                    if self.fixed[i].is_none()
-                        && self.fixed[j].is_none()
-                        && d2 <= 1.1 * bounds[idx]
-                    {
-                        ok = false;
-                        break 'check;
-                    }
-                    idx += 1;
-                }
-            }
-            if ok {
+            let crowded = pairs.iter().zip(&bounds).any(|(&(i, j), &bound)| {
+                let d2 = (pos[i].0 - pos[j].0).powi(2) + (pos[i].1 - pos[j].1).powi(2);
+                self.fixed[i].is_none() && self.fixed[j].is_none() && d2 <= 1.1 * bound
+            });
+            if !crowded {
                 return pos;
             }
             radius *= 1.4;
@@ -449,8 +398,8 @@ mod tests {
         let b = suite::gsrc_n10();
         let p1 = GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default())
             .unwrap();
-        let bounds1 = p1.distance_bounds(&p1.a);
-        for (idx, (i, j)) in pairs(10).enumerate() {
+        let bounds1 = p1.distance_bounds(&p1.a, &all_pairs(10));
+        for (idx, (i, j)) in all_pairs(10).into_iter().enumerate() {
             let expect = (p1.radii[i] + p1.radii[j]).powi(2);
             assert!((bounds1[idx] - expect).abs() < 1e-9);
         }
@@ -459,10 +408,10 @@ mod tests {
             ..ProblemOptions::default()
         };
         let p3 = GlobalFloorplanProblem::from_netlist(&b.netlist, &opts).unwrap();
-        let bounds3 = p3.distance_bounds(&p3.a);
+        let bounds3 = p3.distance_bounds(&p3.a, &all_pairs(10));
         // k=3 radii are sqrt(3) larger, but strongly-connected pairs
         // may approach much closer than (ri + rj)^2.
-        for (idx, (i, j)) in pairs(10).enumerate() {
+        for (idx, (i, j)) in all_pairs(10).into_iter().enumerate() {
             let hard = (p3.radii[i] + p3.radii[j]).powi(2);
             assert!(bounds3[idx] <= hard + 1e-9, "pair ({i},{j})");
         }
@@ -477,9 +426,9 @@ mod tests {
             ..ProblemOptions::default()
         };
         let p = GlobalFloorplanProblem::from_netlist(&b.netlist, &opts).unwrap();
-        let bounds = p.distance_bounds(&p.a);
+        let bounds = p.distance_bounds(&p.a, &all_pairs(30));
         // Every bound must be at least the k_ij = k extreme:
-        for (idx, (i, j)) in pairs(30).enumerate() {
+        for (idx, (i, j)) in all_pairs(30).into_iter().enumerate() {
             let (ri, rj) = (p.radii[i], p.radii[j]);
             let loosest = {
                 let b1 = rj - ri + 2.0 * ri / 3.0;
@@ -526,8 +475,8 @@ mod tests {
         let p = GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default())
             .unwrap();
         let pos = p.spread_positions();
-        let bounds = p.distance_bounds(&p.a);
-        for (idx, (i, j)) in pairs(10).enumerate() {
+        let bounds = p.distance_bounds(&p.a, &all_pairs(10));
+        for (idx, (i, j)) in all_pairs(10).into_iter().enumerate() {
             let d2 = (pos[i].0 - pos[j].0).powi(2) + (pos[i].1 - pos[j].1).powi(2);
             assert!(
                 d2 > bounds[idx],
@@ -551,9 +500,5 @@ mod tests {
         let (lx, hx, ly, hy) = p2.center_bounds(0).unwrap();
         assert!(lx > 0.0 && hx < b.outline(1.0).width && ly > 0.0 && hy < b.outline(1.0).height);
         assert!(lx < hx && ly < hy);
-    }
-
-    fn pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
-        (0..n).flat_map(move |i| ((i + 1)..n).map(move |j| (i, j)))
     }
 }

@@ -2,24 +2,16 @@
 
 use std::time::Instant;
 
-use gfp_conic::ipm::{BarrierSdp, BarrierSettings};
+use gfp_conic::ipm::BarrierSdp;
 use gfp_conic::{AdmmReuse, AdmmSettings, AdmmSolver, SolveStatus};
 use gfp_linalg::{eigh, lanczos_extreme, Extreme, LanczosOptions, Mat, PartialEigh};
 use gfp_telemetry as telemetry;
 
+use crate::iterate::Backend;
 use crate::lifted::{
-    build_admm_program_sparse, build_ipm_problem_sparse, AssemblyWorkspace, Lift, LiftedObjective,
+    build_admm_program, build_ipm_problem, AssemblyWorkspace, Lift, LiftedObjective,
 };
 use crate::{FloorplanError, GlobalFloorplanProblem};
-
-/// Which conic backend solves sub-problem 1.
-#[derive(Debug, Clone)]
-pub enum Sp1Backend {
-    /// The scalable ADMM solver.
-    Admm(AdmmSettings),
-    /// The small-but-accurate barrier interior-point method.
-    Ipm(BarrierSettings),
-}
 
 /// Result of one sub-problem-1 solve.
 #[derive(Debug, Clone)]
@@ -44,75 +36,45 @@ pub struct Sp1Result {
 /// Solves sub-problem 1 (Eq. 18): minimize `<B̃ + αW, Z>` subject to
 /// the distance, PPM, outline and PSD constraints.
 ///
-/// `warm` supplies a previous `svec(Z)` for the ADMM backend (ignored
-/// by the IPM, which instead needs a strictly feasible start derived
-/// from [`GlobalFloorplanProblem::spread_positions`]).
+/// * `warm` supplies a previous `svec(Z)` for the ADMM backend (ignored
+///   by the IPM, which instead needs a strictly feasible start derived
+///   from [`GlobalFloorplanProblem::spread_positions`]).
+/// * `reuse` carries ADMM work across solves. The constraint matrix of
+///   Eq. 18 depends only on the problem and the pair plan (never on
+///   `α` or `W`, which enter through the objective), so across the
+///   convex iteration the ADMM backend can reuse its Ruiz
+///   equilibration, Jacobi preconditioner and CG workspace, and
+///   warm-start the duals from the previous solve — see [`AdmmReuse`].
+///   The IPM ignores it; `None` solves from scratch.
+/// * `pairs` is the distance-constraint plan (see [`crate::neighbors`];
+///   [`crate::neighbors::all_pairs`] for the full problem) and
+///   `workspace` the reusable assembly buffers, as in
+///   [`build_admm_program`].
+///
+/// Program assembly wall time lands in the `kernel.assembly` micros
+/// histogram when telemetry is on.
 ///
 /// # Errors
 ///
 /// Backend and encoding failures; see [`FloorplanError`].
+#[allow(clippy::too_many_arguments)]
 pub fn solve_subproblem1(
     problem: &GlobalFloorplanProblem,
     a_eff: &Mat,
     objective: &LiftedObjective,
-    backend: &Sp1Backend,
-    warm: Option<&[f64]>,
-) -> Result<Sp1Result, FloorplanError> {
-    solve_subproblem1_with_reuse(problem, a_eff, objective, backend, warm, None)
-}
-
-/// Like [`solve_subproblem1`], but carries ADMM work across solves.
-///
-/// The constraint matrix of Eq. 18 depends only on the problem (never
-/// on `α` or `W`, which enter through the objective), so across the
-/// convex iteration the ADMM backend can reuse its Ruiz equilibration,
-/// Jacobi preconditioner and CG workspace, and warm-start the duals
-/// from the previous solve — see [`AdmmReuse`]. The IPM backend
-/// ignores `reuse`. Passing `None` (or an empty `AdmmReuse`) is
-/// bitwise identical to [`solve_subproblem1`].
-///
-/// # Errors
-///
-/// Same as [`solve_subproblem1`].
-pub fn solve_subproblem1_with_reuse(
-    problem: &GlobalFloorplanProblem,
-    a_eff: &Mat,
-    objective: &LiftedObjective,
-    backend: &Sp1Backend,
+    backend: &Backend,
     warm: Option<&[f64]>,
     reuse: Option<&mut AdmmReuse>,
-) -> Result<Sp1Result, FloorplanError> {
-    solve_subproblem1_sparse(problem, a_eff, objective, backend, warm, reuse, None, None)
-}
-
-/// Like [`solve_subproblem1_with_reuse`], plus the sparsified-assembly
-/// hooks: an optional distance-constraint pair plan (see
-/// [`crate::neighbors`]) and an optional reusable
-/// [`AssemblyWorkspace`]. Both default (`None`) to the classic dense,
-/// fresh-builder path bitwise. Program assembly wall time lands in the
-/// `kernel.assembly` micros histogram when telemetry is on.
-///
-/// # Errors
-///
-/// Same as [`solve_subproblem1`].
-#[allow(clippy::too_many_arguments)]
-pub fn solve_subproblem1_sparse(
-    problem: &GlobalFloorplanProblem,
-    a_eff: &Mat,
-    objective: &LiftedObjective,
-    backend: &Sp1Backend,
-    warm: Option<&[f64]>,
-    reuse: Option<&mut AdmmReuse>,
-    pairs: Option<&[(usize, usize)]>,
-    workspace: Option<&mut AssemblyWorkspace>,
+    pairs: &[(usize, usize)],
+    workspace: &mut AssemblyWorkspace,
 ) -> Result<Sp1Result, FloorplanError> {
     static ASSEMBLY_WALL: telemetry::HistogramHandle =
         telemetry::HistogramHandle::new("kernel.assembly");
     let t0 = Instant::now();
     match backend {
-        Sp1Backend::Admm(settings) => {
+        Backend::Admm(settings) => {
             let ta = Instant::now();
-            let program = build_admm_program_sparse(problem, a_eff, objective, pairs, workspace)?;
+            let program = build_admm_program(problem, a_eff, objective, pairs, workspace)?;
             if telemetry::enabled() {
                 ASSEMBLY_WALL.record(ta.elapsed().as_micros() as u64);
             }
@@ -131,9 +93,9 @@ pub fn solve_subproblem1_sparse(
                 solve_seconds: t0.elapsed().as_secs_f64(),
             })
         }
-        Sp1Backend::Ipm(settings) => {
+        Backend::Ipm(settings) => {
             let ta = Instant::now();
-            let sdp = build_ipm_problem_sparse(problem, a_eff, objective, pairs)?;
+            let sdp = build_ipm_problem(problem, a_eff, objective, pairs)?;
             if telemetry::enabled() {
                 ASSEMBLY_WALL.record(ta.elapsed().as_micros() as u64);
             }
@@ -331,7 +293,9 @@ pub fn solve_subproblem2_via_sdp(z_mat: &Mat, n: usize) -> Result<(Mat, f64), Fl
 mod tests {
     use super::*;
     use crate::lifted::objective_matrix;
+    use crate::neighbors::all_pairs;
     use crate::{GlobalFloorplanProblem, ProblemOptions};
+    use gfp_conic::ipm::BarrierSettings;
     use gfp_netlist::suite;
 
     fn problem() -> GlobalFloorplanProblem {
@@ -340,6 +304,18 @@ mod tests {
         GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default())
             .unwrap()
             .normalized()
+    }
+
+    /// Sub-problem 1 over every pair, without cross-solve reuse.
+    fn solve_all_pairs(
+        p: &GlobalFloorplanProblem,
+        obj: &LiftedObjective,
+        backend: Backend,
+        warm: Option<&[f64]>,
+    ) -> Sp1Result {
+        let plan = all_pairs(p.n);
+        let mut ws = AssemblyWorkspace::new();
+        solve_subproblem1(p, &p.a, obj, &backend, warm, None, &plan, &mut ws).unwrap()
     }
 
     #[test]
@@ -390,22 +366,20 @@ mod tests {
     fn subproblem1_admm_satisfies_constraints() {
         let p = problem();
         let obj = objective_matrix(&p, &p.a, None);
-        let res = solve_subproblem1(
+        let res = solve_all_pairs(
             &p,
-            &p.a,
             &obj,
-            &Sp1Backend::Admm(AdmmSettings {
+            Backend::Admm(AdmmSettings {
                 eps: 1e-5,
                 max_iter: 8000,
                 ..AdmmSettings::default()
             }),
             None,
-        )
-        .unwrap();
+        );
         assert!(res.status.is_usable(), "status {:?}", res.status);
         let lift = Lift::new(p.n);
         let d = lift.distance_squares(&res.z);
-        let bounds = p.distance_bounds(&p.a);
+        let bounds = p.distance_bounds(&p.a, &all_pairs(p.n));
         let scale = p.total_area();
         let mut worst: f64 = 0.0;
         for (dk, bk) in d.iter().zip(bounds.iter()) {
@@ -423,16 +397,8 @@ mod tests {
             max_iter: 8000,
             ..AdmmSettings::default()
         };
-        let cold = solve_subproblem1(&p, &p.a, &obj, &Sp1Backend::Admm(settings.clone()), None)
-            .unwrap();
-        let warm = solve_subproblem1(
-            &p,
-            &p.a,
-            &obj,
-            &Sp1Backend::Admm(settings),
-            Some(&cold.z),
-        )
-        .unwrap();
+        let cold = solve_all_pairs(&p, &obj, Backend::Admm(settings.clone()), None);
+        let warm = solve_all_pairs(&p, &obj, Backend::Admm(settings), Some(&cold.z));
         assert!(warm.status.is_usable());
         // Warm-started solve must not be dramatically worse.
         assert!(warm.objective <= cold.objective * 1.05 + 1.0);
@@ -442,26 +408,17 @@ mod tests {
     fn subproblem1_ipm_close_to_admm() {
         let p = problem();
         let obj = objective_matrix(&p, &p.a, None);
-        let admm = solve_subproblem1(
+        let admm = solve_all_pairs(
             &p,
-            &p.a,
             &obj,
-            &Sp1Backend::Admm(AdmmSettings {
+            Backend::Admm(AdmmSettings {
                 eps: 1e-6,
                 max_iter: 40_000,
                 ..AdmmSettings::default()
             }),
             None,
-        )
-        .unwrap();
-        let ipm = solve_subproblem1(
-            &p,
-            &p.a,
-            &obj,
-            &Sp1Backend::Ipm(BarrierSettings::default()),
-            None,
-        )
-        .unwrap();
+        );
+        let ipm = solve_all_pairs(&p, &obj, Backend::Ipm(BarrierSettings::default()), None);
         let rel = (admm.objective - ipm.objective).abs() / (1.0 + ipm.objective.abs());
         assert!(
             rel < 2e-2,

@@ -54,7 +54,6 @@ use crate::checkpoint::{decode_state, encode_state, STATE_FORMAT_VERSION};
 use crate::iterate::{
     run_alpha_round, Backend, FloorplannerSettings, GlobalFloorplan, OuterState, RoundOutcome,
 };
-use crate::subproblems::Sp1Backend;
 use crate::{FloorplanError, GlobalFloorplanProblem};
 
 /// Knobs of the supervision layer (on top of
@@ -227,23 +226,17 @@ pub struct SolveSupervisor {
 /// Builds the opposite backend for fallback. The fallback gets the
 /// reduced-budget profile of [`FloorplannerSettings::fast`]: after a
 /// failure the goal is a usable iterate, not peak accuracy.
-fn fallback_backend(primary: &Backend) -> (&'static str, Sp1Backend) {
+fn fallback_backend(primary: &Backend) -> Backend {
     match primary {
-        Backend::Admm(_) => (
-            "ipm",
-            Sp1Backend::Ipm(BarrierSettings {
-                eps: 1e-6,
-                ..BarrierSettings::default()
-            }),
-        ),
-        Backend::Ipm(_) => (
-            "admm",
-            Sp1Backend::Admm(AdmmSettings {
-                eps: 1e-5,
-                max_iter: 8000,
-                ..AdmmSettings::default()
-            }),
-        ),
+        Backend::Admm(_) => Backend::Ipm(BarrierSettings {
+            eps: 1e-6,
+            ..BarrierSettings::default()
+        }),
+        Backend::Ipm(_) => Backend::Admm(AdmmSettings {
+            eps: 1e-5,
+            max_iter: 8000,
+            ..AdmmSettings::default()
+        }),
     }
 }
 
@@ -406,17 +399,8 @@ impl SolveSupervisor {
         let scale = problem.length_scale();
         let norm = problem.normalized();
 
-        let primary_name: &'static str = match &st.backend {
-            Backend::Admm(_) => "admm",
-            Backend::Ipm(_) => "ipm",
-        };
-        let primary: Sp1Backend = match &st.backend {
-            Backend::Admm(s) => Sp1Backend::Admm(s.clone()),
-            Backend::Ipm(s) => Sp1Backend::Ipm(s.clone()),
-        };
-        let (fallback_name, fallback) = fallback_backend(&st.backend);
-        let mut active_name = primary_name;
-        let mut active = primary.clone();
+        let fallback = fallback_backend(&st.backend);
+        let mut active = st.backend.clone();
 
         let mut causes: Vec<DegradeCause> = Vec::new();
         let mut recoveries = 0usize;
@@ -475,7 +459,7 @@ impl SolveSupervisor {
                     }
                 }
                 Err(err) => {
-                    let cause = cause_of(&err, active_name);
+                    let cause = cause_of(&err, active.name());
                     let cause_code = cause.code();
                     recoveries += 1;
                     state = checkpoint;
@@ -489,7 +473,6 @@ impl SolveSupervisor {
                         // First line of defense: the other backend,
                         // same checkpoint.
                         active = fallback.clone();
-                        active_name = fallback_name;
                         fallbacks += 1;
                         causes.push(cause);
                         action = "fallback";
@@ -500,8 +483,7 @@ impl SolveSupervisor {
                         // fallback backend (if any) is reverted: the
                         // primary gets first shot at the easier round.
                         if fallbacks > 0 {
-                            active = primary.clone();
-                            active_name = primary_name;
+                            active = st.backend.clone();
                         }
                         state.alpha =
                             (state.alpha / self.sup.alpha_backtrack).max(f64::MIN_POSITIVE);
@@ -527,7 +509,7 @@ impl SolveSupervisor {
                             "supervisor.recovery",
                             &[
                                 ("error", err.to_string().into()),
-                                ("backend", active_name.into()),
+                                ("backend", active.name().into()),
                                 ("action", action.into()),
                                 ("recoveries", recoveries.into()),
                             ],
@@ -592,7 +574,7 @@ impl SolveSupervisor {
                     ("backtracks", backtracks.into()),
                     ("rounds", checkpoint.round.into()),
                     ("converged", converged.into()),
-                    ("backend", active_name.into()),
+                    ("backend", active.name().into()),
                 ],
             );
             telemetry::counter_add("supervisor.solves", 1);
@@ -605,7 +587,7 @@ impl SolveSupervisor {
             recoveries,
             fallbacks,
             backtracks,
-            final_backend: active_name,
+            final_backend: active.name(),
             checkpoint,
         }
     }

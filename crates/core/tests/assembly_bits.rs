@@ -31,7 +31,7 @@
 use gfp_conic::ipm::SdpProblem;
 use gfp_conic::{Cone, ConeProgram};
 use gfp_core::lifted::{
-    build_admm_program_sparse, build_ipm_problem_sparse, objective_matrix, AssemblyWorkspace,
+    build_admm_program, build_ipm_problem, objective_matrix, AssemblyWorkspace,
 };
 use gfp_core::neighbors::all_pairs;
 use gfp_core::{GlobalFloorplanProblem, ProblemOptions};
@@ -40,6 +40,7 @@ use gfp_netlist::suite;
 
 /// `(case, ADMM digest, IPM digest)`; `None` where the IPM rejects the
 /// instance.
+#[rustfmt::skip]
 const EXPECTED: &[(&str, u64, Option<u64>)] = &[
     ("n10_default/all", 0x49d974f74bb080e9, Some(0x4a7dd2f9a8406087)),
     ("n10_default/sparse", 0xe5a7914aa5358459, Some(0x374e3a33bb356e43)),
@@ -142,9 +143,11 @@ fn instances() -> Vec<(&'static str, GlobalFloorplanProblem)> {
 
     let default = capture(&n10.netlist, &ProblemOptions::default());
     let outlined = capture(&padded, &paper);
+    let r = &outlined.radii;
+    let (keep_out, cap) = (4.0 * (r[1] + r[2]).powi(2), 2.25 * (r[0] + r[7]).powi(2));
     let mut controlled = outlined.clone();
-    controlled.add_min_distance(1, 2, 4.0 * (controlled.radii[1] + controlled.radii[2]).powi(2));
-    controlled.add_max_distance(0, 7, 2.25 * (controlled.radii[0] + controlled.radii[7]).powi(2));
+    controlled.add_min_distance(1, 2, keep_out);
+    controlled.add_max_distance(0, 7, cap);
     let (cx, cy) = outline.center();
     let mut preplaced = capture(&padded.with_fixed_module(3, cx, cy), &paper);
     preplaced.min_distance = controlled.min_distance.clone();
@@ -175,33 +178,27 @@ fn sparse_plan(n: usize) -> Vec<(usize, usize)> {
 
 #[test]
 fn assembled_programs_match_pinned_bits() {
-    let mut ws = AssemblyWorkspace::new();
+    // One workspace across every case: the ADMM programs assembled
+    // through it, warm from earlier and differently sized cases, must
+    // match those from a fresh workspace.
+    let mut warm = AssemblyWorkspace::new();
     let mut actual: Vec<(String, u64, Option<u64>)> = Vec::new();
     for (name, p) in instances() {
         let w = Mat::identity(p.n + 2);
         let obj = objective_matrix(&p, &p.a, Some((&w, 2.0)));
-        let sparse = sparse_plan(p.n);
-        for (plan_name, plan) in [("all", None), ("sparse", Some(&sparse[..]))] {
-            let prog = build_admm_program_sparse(&p, &p.a, &obj, plan, None).unwrap();
-            let admm = admm_digest(&prog);
+        for (plan_name, plan) in [("all", all_pairs(p.n)), ("sparse", sparse_plan(p.n))] {
+            let case = format!("{name}/{plan_name}");
+            let fresh = build_admm_program(&p, &p.a, &obj, &plan, &mut AssemblyWorkspace::new());
+            let admm = admm_digest(&fresh.unwrap());
+            let reused = build_admm_program(&p, &p.a, &obj, &plan, &mut warm).unwrap();
+            assert_eq!(admm_digest(&reused), admm, "{case}: warm workspace");
             let ipm = if p.has_fixed_modules() {
                 None
             } else {
-                Some(ipm_digest(&build_ipm_problem_sparse(&p, &p.a, &obj, plan).unwrap()))
+                let sdp = build_ipm_problem(&p, &p.a, &obj, &plan).unwrap();
+                Some(ipm_digest(&sdp))
             };
-            // The all-pairs plan and a warm workspace assemble the same
-            // bits as the dense loop and a fresh builder.
-            let full = all_pairs(p.n);
-            let through_plan = plan.unwrap_or(&full);
-            let warm =
-                build_admm_program_sparse(&p, &p.a, &obj, Some(through_plan), Some(&mut ws))
-                    .unwrap();
-            assert_eq!(admm_digest(&warm), admm, "{name}/{plan_name}: plan path");
-            if let Some(ipm) = ipm {
-                let sdp = build_ipm_problem_sparse(&p, &p.a, &obj, Some(through_plan)).unwrap();
-                assert_eq!(ipm_digest(&sdp), ipm, "{name}/{plan_name}: IPM plan path");
-            }
-            actual.push((format!("{name}/{plan_name}"), admm, ipm));
+            actual.push((case, admm, ipm));
         }
     }
 

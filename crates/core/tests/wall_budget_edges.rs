@@ -18,6 +18,7 @@
 //! these are deterministic: `eps_rank = 1e-12` pins the round count
 //! and every comparison below is exact to the bit.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use gfp_core::{
@@ -25,6 +26,14 @@ use gfp_core::{
     SolveQuality, SolveSupervisor, SupervisorSettings,
 };
 use gfp_netlist::suite;
+
+/// Fault state is process-global: every test holds this lock, so a
+/// fault armed by a `faulted` test never fires inside another test.
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn n10_problem() -> GlobalFloorplanProblem {
     let b = suite::gsrc_n10();
@@ -89,6 +98,7 @@ fn assert_bitwise_eq(a: &DegradedResult, b: &DegradedResult, label: &str) {
 /// uninterrupted result bit for bit.
 #[test]
 fn zero_total_budget_serves_placeholder_with_resumable_checkpoint() {
+    let _g = serial();
     let problem = n10_problem();
 
     let starved = with_total_limit(Duration::ZERO).solve(&problem);
@@ -113,6 +123,7 @@ fn zero_total_budget_serves_placeholder_with_resumable_checkpoint() {
 /// round-1 checkpoint resumes to the uninterrupted result.
 #[test]
 fn round_budget_trip_is_budget_exhausted_and_resumable() {
+    let _g = serial();
     let problem = n10_problem();
 
     let clipped = with_round_limit(Duration::ZERO).solve(&problem);
@@ -134,6 +145,7 @@ fn round_budget_trip_is_budget_exhausted_and_resumable() {
 /// resume still lands on the uninterrupted bits.
 #[test]
 fn zero_budget_resume_preserves_the_checkpoint() {
+    let _g = serial();
     let problem = n10_problem();
 
     let clipped = with_round_limit(Duration::ZERO).solve(&problem);
@@ -154,12 +166,8 @@ fn zero_budget_resume_preserves_the_checkpoint() {
 #[cfg(feature = "fault-inject")]
 mod faulted {
     use super::*;
-    use std::sync::Mutex;
 
     use gfp_fault::{self as fault, FaultKind, FaultPlan, Site};
-
-    /// Fault state is process-global: serialize and always disarm.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     /// The first ADMM round is poisoned; the recovery retry succeeds
     /// but the round budget trips right at its boundary. Both causes
@@ -168,7 +176,7 @@ mod faulted {
     /// once the fault is gone and the budget is real.
     #[test]
     fn budget_expiring_inside_retry_attempt_degrades_and_stays_resumable() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = serial();
         let problem = n10_problem();
 
         fault::arm(FaultPlan::single(Site::AdmmIter, FaultKind::Nan, 1));

@@ -10,12 +10,12 @@
 //!
 //! Three layers, std-only, no serde:
 //!
-//! * [`codec`] — little-endian [`Encoder`]/[`Decoder`] primitives with
+//! * `codec` — little-endian [`Encoder`]/[`Decoder`] primitives with
 //!   positioned, non-panicking decode errors and bitwise-lossless
 //!   `f64` round-trips (`to_bits`), the foundation of the
 //!   resume-determinism contract.
-//! * [`crc32`](mod@crc32) — CRC-32 (IEEE) payload checksums.
-//! * [`snapshot`] — the versioned record envelope
+//! * `crc32` — CRC-32 (IEEE) payload checksums ([`crc32()`]).
+//! * `snapshot` — the versioned record envelope
 //!   (magic + format version + length + CRC) and [`SnapshotStore`]:
 //!   atomic temp-fsync-rename writes, a generation ring of the newest
 //!   K snapshots, and corruption-detecting loads that fall back to the

@@ -1,7 +1,7 @@
 //! Minimal hand-rolled JSON parser (the workspace is offline and
 //! carries no JSON dependency). Used by the `gfp-trace` analyzer to
-//! read back JSONL traces and solve reports; the writers live in
-//! [`crate::jsonl`] and [`crate::report`].
+//! read back JSONL traces and solve reports; the writers are
+//! [`JsonlSink`](crate::JsonlSink) and [`crate::report`].
 //!
 //! Objects preserve key order as a `Vec<(String, Json)>` — the report
 //! writer emits deterministically sorted sections, and round-tripping

@@ -228,6 +228,12 @@ echo "== layered benchmark (smoke) =="
 # one of its output checks or cannot run, which fails this gate.
 cargo run --release -q --bin benchmark -- --smoke
 
+echo "== docs =="
+# Rustdoc with broken and private intra-doc links as errors: a doc
+# link to a renamed, deleted or private item fails the gate.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps
+
 echo "== clippy =="
 if cargo clippy --version >/dev/null 2>&1; then
     # Warnings are reported but only hard errors fail the gate (the

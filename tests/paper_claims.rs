@@ -6,6 +6,7 @@
 use gfp::baselines::qp::QuadraticPlacer;
 use gfp::core::subproblems::{solve_subproblem2, solve_subproblem2_via_sdp};
 use gfp::core::lifted::Lift;
+use gfp::core::neighbors::all_pairs;
 use gfp::core::{FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SdpFloorplanner};
 use gfp::netlist::{suite, Module, Net, Netlist, PinRef};
 
@@ -112,23 +113,20 @@ fn claim_nonsquare_relaxes_connected_pairs() {
         },
     )
     .expect("nonsq");
-    let b_square = square.distance_bounds(&square.a);
-    let b_nonsq = nonsq.distance_bounds(&nonsq.a);
+    let pairs = all_pairs(10);
+    let b_square = square.distance_bounds(&square.a, &pairs);
+    let b_nonsq = nonsq.distance_bounds(&nonsq.a, &pairs);
     // Strongly connected pairs must receive *smaller* minimum
     // distances relative to their (inflated) radii.
-    let mut idx = 0;
     let mut relaxed = 0;
-    for i in 0..10 {
-        for j in (i + 1)..10 {
-            // Normalize both bounds by the respective (r_i + r_j)².
-            let hard_sq = (square.radii[i] + square.radii[j]).powi(2);
-            let hard_ns = (nonsq.radii[i] + nonsq.radii[j]).powi(2);
-            let rel_sq = b_square[idx] / hard_sq;
-            let rel_ns = b_nonsq[idx] / hard_ns;
-            if rel_ns < rel_sq - 1e-12 {
-                relaxed += 1;
-            }
-            idx += 1;
+    for (idx, &(i, j)) in pairs.iter().enumerate() {
+        // Normalize both bounds by the respective (r_i + r_j)².
+        let hard_sq = (square.radii[i] + square.radii[j]).powi(2);
+        let hard_ns = (nonsq.radii[i] + nonsq.radii[j]).powi(2);
+        let rel_sq = b_square[idx] / hard_sq;
+        let rel_ns = b_nonsq[idx] / hard_ns;
+        if rel_ns < rel_sq - 1e-12 {
+            relaxed += 1;
         }
     }
     assert!(relaxed > 20, "only {relaxed}/45 pairs relaxed by k_ij");

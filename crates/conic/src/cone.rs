@@ -298,8 +298,8 @@ const PSD_PARTIAL_MAX_FRAC: f64 = 0.75;
 /// be certified — the caller then runs the dense path.
 ///
 /// The decision is a pure function of the block data (never of global
-/// adaptive state), so concurrent block projections inside
-/// `project_product` stay bitwise deterministic.
+/// adaptive state), so the projection's bits do not depend on the
+/// worker count or on which projections ran before it.
 fn try_partial_psd(m: &gfp_linalg::Mat, v: &mut [f64]) -> bool {
     let side = match spectral_side(m, PSD_PARTIAL_TOL, PSD_PARTIAL_MAX_FRAC) {
         Ok(Some(side)) => side,
@@ -353,75 +353,16 @@ fn record_psd(timer: Option<std::time::Instant>, path: &'static str) {
     }
 }
 
-/// Minimum number of slack slots per parallel projection batch. Keeps
-/// tiny cone products on the caller thread where pool dispatch would
-/// dominate.
-const PROJECT_BATCH_MIN_SLOTS: usize = 1024;
-
 /// Projects a stacked slack vector onto the product of `cones`, block
-/// by block, in place.
-///
-/// Cone blocks are independent, so batches of contiguous blocks run as
-/// pool jobs when the product is large enough; each slot is written by
-/// exactly one job and every block sees the same per-block arithmetic
-/// as the sequential path, so results are bitwise identical at any
-/// worker count. PSD blocks may additionally parallelize internally
-/// (`eigh`, spectral reconstruction); the pool's helping join makes
-/// that nesting safe.
+/// by block, in place. PSD blocks may parallelize internally (the
+/// bisection, reflector application and spectral reconstruction of the
+/// partial path), bitwise identically at every worker count.
 ///
 /// # Panics
 ///
 /// Panics if `v.len()` differs from the total cone dimension.
 pub(crate) fn project_product(cones: &[Cone], v: &mut [f64]) {
-    let total: usize = cones.iter().map(Cone::dim).sum();
-    assert_eq!(total, v.len(), "cone product dimension mismatch");
-    let nthreads = gfp_parallel::effective_num_threads();
-    if cones.len() <= 1
-        || !gfp_parallel::should_parallelize(
-            total,
-            2 * PROJECT_BATCH_MIN_SLOTS,
-            PROJECT_BATCH_MIN_SLOTS / 2,
-        )
-    {
-        project_product_seq(cones, v);
-        return;
-    }
-    // Greedily group contiguous cones into batches of roughly equal
-    // slot counts. Batch boundaries depend only on the cone list and
-    // thread count, never on data values.
-    let target = (total / (nthreads * 2)).max(PROJECT_BATCH_MIN_SLOTS);
-    let mut batches: Vec<(usize, usize, usize)> = Vec::new(); // (cone_lo, cone_hi, slots)
-    let mut lo = 0;
-    let mut slots = 0;
-    for (ci, cone) in cones.iter().enumerate() {
-        slots += cone.dim();
-        if slots >= target {
-            batches.push((lo, ci + 1, slots));
-            lo = ci + 1;
-            slots = 0;
-        }
-    }
-    if lo < cones.len() {
-        batches.push((lo, cones.len(), slots));
-    }
-    if batches.len() <= 1 {
-        project_product_seq(cones, v);
-        return;
-    }
-    let mut slices: Vec<&mut [f64]> = Vec::with_capacity(batches.len());
-    let mut rest = v;
-    for &(_, _, nslots) in &batches {
-        let (head, tail) = rest.split_at_mut(nslots);
-        slices.push(head);
-        rest = tail;
-    }
-    gfp_parallel::parallel_for_each_chunk(slices, |bi, chunk| {
-        let (clo, chi, _) = batches[bi];
-        project_product_seq(&cones[clo..chi], chunk);
-    });
-}
-
-fn project_product_seq(cones: &[Cone], v: &mut [f64]) {
+    assert_eq!(total_dim(cones), v.len(), "cone product dimension mismatch");
     let mut offset = 0;
     for cone in cones {
         let d = cone.dim();

@@ -49,12 +49,26 @@ impl Drop for UnclampGuard {
     }
 }
 
+/// Current value of a telemetry counter. Counters only tick while
+/// telemetry is on; no sink is installed, so nothing is written.
+fn counter(name: &str) -> u64 {
+    gfp_telemetry::set_enabled(true);
+    gfp_telemetry::counters_snapshot()
+        .into_iter()
+        .find(|(k, _)| *k == name)
+        .map_or(0, |(_, v)| v)
+}
+
 #[test]
 fn psd_projection_is_bitwise_deterministic_across_worker_counts() {
     let _unclamp = UnclampGuard::new();
     let mut rng = Rng::seed_from_u64(0x5eed_1001);
-    // 20 uses the direct small-n path, 60 the banded spectral kernel.
-    for n in [20, 60] {
+    // 20 uses the direct small-n path and 60 the dense `eigh` with the
+    // banded spectral kernel. 202, the cone of a flat n200 solve, takes
+    // the partial-spectrum path (from 64 up), where the bisection
+    // batches, the reflector application and `spectral_accumulate` all
+    // dispatch to the pool.
+    for n in [20, 60, 202] {
         let m = random_sym(&mut rng, n);
         let v0 = svec(&m);
         let cone = Cone::Psd(n);
@@ -63,6 +77,7 @@ fn psd_projection_is_bitwise_deterministic_across_worker_counts() {
             cone.project(&mut v);
             v
         };
+        let hits0 = counter("kernel.eigh_partial.hit");
         let reference = with_pool(&ThreadPool::new(1), project);
         for workers in [2, 8] {
             let got = with_pool(&ThreadPool::new(workers), project);
@@ -72,6 +87,17 @@ fn psd_projection_is_bitwise_deterministic_across_worker_counts() {
                 &format!("project_psd n={n} @ {workers} workers"),
             );
         }
+        // No other test in this file projects a cone of 64 or more, so
+        // the counter moves only here: once per projection above when
+        // the partial path ran. With `GFP_NO_SPECTRAL_FASTPATH` set the
+        // dense path is the one compared.
+        let hits = counter("kernel.eigh_partial.hit") - hits0;
+        let expected = if n >= 64 && gfp_linalg::fastpath::enabled() {
+            3
+        } else {
+            0
+        };
+        assert_eq!(hits, expected, "partial-path projections at n={n}");
     }
 }
 

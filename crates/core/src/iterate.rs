@@ -61,13 +61,6 @@ pub struct FloorplannerSettings {
     pub backend: Backend,
     /// Warm-start each sub-problem-1 solve from the previous `Z`.
     pub warm_start: bool,
-    /// Carry ADMM work across sub-problem-1 solves: the constraint
-    /// matrix of Eq. 18 never changes within a run (only the objective
-    /// moves with `α` and `W`), so the Ruiz equilibration, Jacobi
-    /// preconditioner and CG workspace are computed once and the dual
-    /// iterates warm-start every later solve. Purely a performance
-    /// knob for the ADMM backend; ignored by the IPM.
-    pub admm_reuse: bool,
     /// Reset the direction matrix `W` to the identity (trace
     /// heuristic) at the start of every α round, exactly as Algorithm
     /// 1 line 3 prescribes. With generous inner budgets this matches
@@ -103,7 +96,6 @@ impl Default for FloorplannerSettings {
                 ..AdmmSettings::default()
             }),
             warm_start: true,
-            admm_reuse: true,
             reset_direction: false,
             sparsify: SparsifySettings::default(),
             stage: "flat",
@@ -203,9 +195,14 @@ pub struct RoundSummary {
     pub primal_residual: f64,
     /// Last sub-problem-1 relative dual residual (`NaN` under IPM).
     pub dual_residual: f64,
-    /// Sub-problem-2 deflated (Lanczos) fast-path accepts this round.
+    /// Partial-spectrum accepts this round: sub-problem 2's deflated
+    /// `W` plus ADMM's partial PSD projections (the round's delta of
+    /// `kernel.eigh_partial.hit`). From a 64-dim cone up the
+    /// projections dominate the count.
     pub fastpath_hits: u64,
-    /// Sub-problem-2 dense-eigh fallbacks this round.
+    /// Partial-spectrum fallbacks to the dense `eigh` this round, from
+    /// the same two sources (the delta of
+    /// `kernel.eigh_partial.fallback`).
     pub fastpath_fallbacks: u64,
     /// How the round ended: `"rank_certified"`, `"inner_converged"`
     /// or `"iter_budget"`.
@@ -255,11 +252,14 @@ pub struct OuterState {
     pub carried_w: Option<Mat>,
     /// Warm-start `svec(Z)` for the next sub-problem-1 solve.
     pub warm_z: Option<Vec<f64>>,
-    /// Cross-solve ADMM reuse state (equilibration cache, CG
-    /// workspace and warm duals; see
-    /// [`FloorplannerSettings::admm_reuse`]). Cloned with the rest of
-    /// the state, so supervisor checkpoints roll it back along with
-    /// everything else.
+    /// Cross-solve ADMM reuse state. The constraint matrix of Eq. 18
+    /// never changes within a run (only the objective moves with `α`
+    /// and `W`), so every sub-problem-1 solve of the ADMM backend
+    /// reuses the Ruiz equilibration, Jacobi preconditioner and CG
+    /// workspace computed once and warm-starts from the previous
+    /// duals; the IPM ignores it. Cloned with the rest of the state,
+    /// so supervisor checkpoints roll it back along with everything
+    /// else.
     pub admm_reuse: AdmmReuse,
     /// Best iterate so far.
     pub best: Option<BestIterate>,
@@ -461,7 +461,8 @@ pub fn run_alpha_round(
     let _round_span = telemetry::span("sdp.alpha_round");
     let round_t0 = std::time::Instant::now();
     // Cached handles (S2 pattern): `value()` reads are cheap and the
-    // deltas give the round's dense-vs-deflated fastpath split.
+    // deltas give the round's partial-spectrum accepts and fallbacks
+    // (sub-problem 2 and ADMM's PSD projections together).
     static FASTPATH_HIT: telemetry::CounterHandle =
         telemetry::CounterHandle::new("kernel.eigh_partial.hit");
     static FASTPATH_FALLBACK: telemetry::CounterHandle =
@@ -528,18 +529,13 @@ pub fn run_alpha_round(
         } else {
             None
         };
-        let reuse = if st.admm_reuse {
-            Some(&mut state.admm_reuse)
-        } else {
-            None
-        };
         let sp1 = solve_subproblem1(
             problem,
             &a_eff,
             &objective,
             backend,
             warm,
-            reuse,
+            Some(&mut state.admm_reuse),
             &plan,
             &mut state.assembly,
         )?;

@@ -11,8 +11,7 @@
 //! * Environment: set `GFP_NO_SPECTRAL_FASTPATH=1` (any value other
 //!   than `0` or empty) to disable the fast paths process-wide.
 //! * Programmatic: [`set_enabled`] overrides the environment, e.g. to
-//!   run on/off comparisons inside one process; [`reset_from_env`]
-//!   returns control to the environment variable.
+//!   run on/off comparisons inside one process.
 //!
 //! The toggle only chooses *which* certified-accurate path runs; it is
 //! read at fast-path entry points only, never inside a kernel, so a
@@ -36,9 +35,10 @@ fn env_wants_fastpath() -> bool {
     }
 }
 
-/// Whether the spectral fast paths are currently enabled. The first
-/// call (per override state) consults `GFP_NO_SPECTRAL_FASTPATH`;
-/// subsequent calls are a single relaxed atomic load.
+/// Whether the spectral fast paths are currently enabled. Unless
+/// [`set_enabled`] ran first, the first call consults
+/// `GFP_NO_SPECTRAL_FASTPATH`; subsequent calls are a single relaxed
+/// atomic load.
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
         ON => true,
@@ -57,12 +57,6 @@ pub fn set_enabled(on: bool) -> bool {
     let prev = enabled();
     STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
     prev
-}
-
-/// Drops any [`set_enabled`] override; the next [`enabled`] call
-/// re-reads `GFP_NO_SPECTRAL_FASTPATH`.
-pub fn reset_from_env() {
-    STATE.store(UNSET, Ordering::Relaxed);
 }
 
 #[cfg(test)]

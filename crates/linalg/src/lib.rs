@@ -9,14 +9,14 @@
 //! conic solver ([`svec::svec`] / [`svec::smat`]).
 //!
 //! Everything is `f64` and deterministic: the hot kernels
-//! ([`Mat::matmul`], [`spectral_accumulate`], the CSR matvec, and the
-//! bisection and reflector application inside [`spectral_side`]) are
-//! parallelized over the std-only `gfp-parallel` pool, but every
-//! floating-point accumulation keeps a fixed association order, so
-//! results are bitwise identical for every `GFP_THREADS` setting. The
-//! Householder reduction behind [`eigh`] and [`spectral_side`] runs
-//! serially: one step's O(m²) work is too small to pay for pool
-//! dispatch.
+//! ([`spectral_accumulate`], the CSR matvec, and the bisection and
+//! reflector application inside [`spectral_side`]) are parallelized
+//! over the std-only `gfp-parallel` pool, but every floating-point
+//! accumulation keeps a fixed association order, so results are
+//! bitwise identical for every `GFP_THREADS` setting. [`Mat::matmul`]
+//! and the Householder reduction behind [`eigh`] and [`spectral_side`]
+//! run serially: the solver's products are n×2, and one reduction
+//! step's O(m²) work is too small to pay for pool dispatch.
 //!
 //! # Example
 //!
@@ -52,7 +52,7 @@ pub use eigen::{eigh, eigvalsh, spectral_accumulate, Eigh};
 pub use error::LinalgError;
 pub use lanczos::{lanczos_extreme, Extreme, LanczosOptions, PartialEigh};
 pub use lu::Lu;
-pub use mat::{Mat, MATMUL_PARALLEL_FLOPS};
+pub use mat::Mat;
 pub use qr::Qr;
 pub use tridiag::{spectral_side, SideKind, SpectralSide};
 

@@ -5,10 +5,8 @@ use crate::LinalgError;
 
 /// A dense, row-major `f64` matrix.
 ///
-/// `Mat` is the workhorse dense type of the workspace. Products large
-/// enough to matter run through a cache-blocked kernel parallelized
-/// over row bands of the output (see [`Mat::matmul_into`]); results
-/// are bitwise independent of the worker count.
+/// `Mat` is the workhorse dense type of the workspace. Products run
+/// through a serial cache-blocked kernel (see [`Mat::matmul_into`]).
 ///
 /// # Example
 ///
@@ -140,13 +138,9 @@ impl Mat {
         t
     }
 
-    /// Dense matrix product `self * rhs`.
-    ///
-    /// Dispatches to a cache-blocked, row-band-parallel kernel for
-    /// large products and a plain i-k-j loop below
-    /// [`MATMUL_PARALLEL_FLOPS`]; both accumulate each output entry
-    /// in ascending-`k` order, so the result is bitwise identical for
-    /// every `GFP_THREADS` setting (see [`Mat::matmul_into`]).
+    /// Dense matrix product `self * rhs`: a serial, cache-blocked i-k-j
+    /// kernel that accumulates each output entry in ascending-`k` order
+    /// (see [`Mat::matmul_into`]).
     ///
     /// # Panics
     ///
@@ -177,27 +171,14 @@ impl Mat {
         );
         let timer = crate::kernel_timer();
         out.data.fill(0.0);
-        let flops = self.rows * self.cols * rhs.cols;
-        if !gfp_parallel::should_parallelize(flops, MATMUL_PARALLEL_FLOPS, MATMUL_PARALLEL_FLOPS / 4)
-        {
-            matmul_band(
-                self.cols,
-                rhs.cols,
-                &self.data,
-                &rhs.data,
-                0,
-                self.rows,
-                &mut out.data,
-            );
-        } else {
-            let ncols = rhs.cols;
-            let bands: Vec<&mut [f64]> = out.data.chunks_mut(MATMUL_BAND_ROWS * ncols).collect();
-            gfp_parallel::parallel_for_each_chunk(bands, |band_idx, band| {
-                let row0 = band_idx * MATMUL_BAND_ROWS;
-                let band_rows = band.len() / ncols.max(1);
-                matmul_band(self.cols, ncols, &self.data, &rhs.data, row0, band_rows, band);
-            });
-        }
+        matmul_blocked(
+            self.rows,
+            self.cols,
+            rhs.cols,
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+        );
         crate::kernel_record("matmul", timer);
     }
 
@@ -393,36 +374,21 @@ impl Mat {
     }
 }
 
-/// Flop threshold (`m·k·n`) below which `matmul` stays on one thread.
-pub const MATMUL_PARALLEL_FLOPS: usize = 64 * 64 * 64;
-
-/// Rows per parallel output band of the blocked matmul.
-const MATMUL_BAND_ROWS: usize = 16;
-
 /// Columns of the left factor swept per cache block.
 const MATMUL_BLOCK_K: usize = 64;
 
-/// Computes `band_rows` rows of the product starting at `row0`,
-/// writing into the (zeroed) `out` band.
+/// Computes the product of the row-major `a` (`rows × inner`) and `b`
+/// (`inner × ncols`) into the zeroed `out`.
 ///
 /// The `k` loop is tiled for cache reuse of `b`'s rows, but each
-/// output entry still accumulates in ascending-`k` order — tiles are
-/// visited in order and `k` ascends inside a tile — so the serial and
-/// banded-parallel paths produce bitwise-identical results.
-fn matmul_band(
-    inner: usize,
-    ncols: usize,
-    a: &[f64],
-    b: &[f64],
-    row0: usize,
-    band_rows: usize,
-    out: &mut [f64],
-) {
+/// output entry still accumulates in ascending-`k` order: tiles are
+/// visited in order and `k` ascends inside a tile.
+fn matmul_blocked(rows: usize, inner: usize, ncols: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     let mut kk = 0;
     while kk < inner {
         let kend = (kk + MATMUL_BLOCK_K).min(inner);
-        for bi in 0..band_rows {
-            let arow = &a[(row0 + bi) * inner..(row0 + bi + 1) * inner];
+        for bi in 0..rows {
+            let arow = &a[bi * inner..(bi + 1) * inner];
             let orow = &mut out[bi * ncols..(bi + 1) * ncols];
             for (k, &aik) in arow.iter().enumerate().take(kend).skip(kk) {
                 if aik == 0.0 {

@@ -2,9 +2,10 @@
 //!
 //! The `gfp-parallel` contract is that every kernel produces bitwise
 //! identical output at every worker count. These tests run matmul,
-//! eigh and the spectral accumulation on seeded random inputs under
-//! pools of 1, 2 and 8 workers (via the thread-local `with_pool`
-//! override) and compare results with exact `f64` bit equality.
+//! eigh, the spectral accumulation and the CSR matvec on seeded random
+//! inputs under pools of 1, 2 and 8 workers (via the thread-local
+//! `with_pool` override) and compare results with exact `f64` bit
+//! equality.
 
 use gfp_linalg::{eigh, spectral_accumulate, Mat};
 use gfp_parallel::{with_pool, ThreadPool};
@@ -60,7 +61,9 @@ fn check_across_pools(what: &str, f: impl Fn() -> Vec<f64>) {
 #[test]
 fn matmul_is_bitwise_deterministic_across_worker_counts() {
     let mut rng = Rng::seed_from_u64(0x5eed_0001);
-    // 96×96 crosses the parallel-dispatch cutoff (64³ flops).
+    // `matmul` runs serially at every size; 96 and 130 span more than
+    // one 64-column cache block. The pool width must leave its bits
+    // alone.
     for n in [8, 64, 96, 130] {
         let a = random_mat(&mut rng, n, n);
         let b = random_mat(&mut rng, n, n);
@@ -68,21 +71,6 @@ fn matmul_is_bitwise_deterministic_across_worker_counts() {
             a.matmul(&b).as_slice().to_vec()
         });
     }
-}
-
-#[test]
-fn matmul_parallel_matches_serial_band_kernel() {
-    // The parallel path must produce the same bits as the sequential
-    // fallback, not merely be self-consistent.
-    let mut rng = Rng::seed_from_u64(0x5eed_0002);
-    let n = 100;
-    let a = random_mat(&mut rng, n, n);
-    let b = random_mat(&mut rng, n, n);
-    let prev = gfp_parallel::set_host_clamp(false);
-    let serial = with_pool(&ThreadPool::new(1), || a.matmul(&b));
-    let parallel = with_pool(&ThreadPool::new(8), || a.matmul(&b));
-    gfp_parallel::set_host_clamp(prev);
-    assert_bits_eq(serial.as_slice(), parallel.as_slice(), "matmul serial vs parallel");
 }
 
 #[test]

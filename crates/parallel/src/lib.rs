@@ -1,10 +1,10 @@
 //! Std-only data parallelism for the `gfp` numeric kernels.
 //!
 //! The convex-iteration pipeline spends nearly all of its time in a
-//! handful of dense kernels (blocked matmul, PSD-cone reconstruction,
-//! the bisection and reflector application of the partial
-//! eigensolver). This crate gives them a shared, dependency-free
-//! worker pool plus deterministic fan-out helpers:
+//! handful of kernels (PSD-cone reconstruction, the bisection and
+//! reflector application of the partial eigensolver, the CSR matvec
+//! of the ADMM solve). This crate gives them a shared,
+//! dependency-free worker pool plus a deterministic fan-out helper:
 //!
 //! * [`ThreadPool`] — fixed worker set with **scoped** job submission
 //!   ([`ThreadPool::scoped`]): jobs may borrow stack data, and waiting
@@ -13,24 +13,21 @@
 //! * [`global`] — the process-wide pool, sized by the `GFP_THREADS`
 //!   environment variable (default:
 //!   [`std::thread::available_parallelism`]).
-//! * [`parallel_for`] / [`parallel_for_each_chunk`] /
-//!   [`parallel_reduce`] / [`join`] — structured helpers with a
+//! * [`parallel_for_each_chunk`] — the one structured helper, with a
 //!   **determinism contract** (below).
+//! * [`should_parallelize`] — the size-only serial/parallel cutover
+//!   every dispatching kernel goes through.
 //! * [`with_pool`] — thread-local pool override so tests can compare
 //!   1/2/8-worker executions inside one process.
 //!
 //! # Determinism contract
 //!
-//! Results must be bitwise identical for every worker count. The
-//! helpers guarantee it as follows:
-//!
-//! * [`parallel_for`] requires each index to be computed independently
-//!   with a fixed inner order (disjoint outputs); the chunk partition
-//!   may then differ between runs without affecting a single bit.
-//! * [`parallel_reduce`] fixes the chunk boundaries from `grain`
-//!   *only* (never from the worker count) and folds the per-chunk
-//!   partials sequentially in chunk order, so floating-point
-//!   reductions associate identically at any thread count.
+//! Results must be bitwise identical for every worker count.
+//! [`parallel_for_each_chunk`] runs a closure over pre-split disjoint
+//! output chunks, so each output element is written by exactly one
+//! job. A kernel keeps its bits by computing every element with a
+//! fixed inner order; its chunk partition may then depend on sizes
+//! and the worker count, never on data values.
 //!
 //! # Example
 //!
@@ -50,7 +47,6 @@
 mod pool;
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -108,8 +104,9 @@ pub fn with_pool<R>(pool: &ThreadPool, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The pool that structured helpers on this thread dispatch to: the
-/// [`with_pool`] override if one is active, else the global pool.
+/// The pool that [`parallel_for_each_chunk`] on this thread
+/// dispatches to: the [`with_pool`] override if one is active, else
+/// the global pool.
 fn active<R>(f: impl FnOnce(&ThreadPool) -> R) -> R {
     match OVERRIDE.with(|o| o.get()) {
         // SAFETY: the pointer was set by `with_pool`, whose borrow of
@@ -195,38 +192,6 @@ pub fn should_parallelize(work: usize, min_total: usize, min_per_worker: usize) 
     go
 }
 
-/// Splits `0..len` into chunks of at most `grain` indices and runs
-/// `f` on each chunk, in parallel when the active pool has more than
-/// one worker and there is more than one chunk.
-///
-/// **Determinism contract:** `f(a..b)` must write only outputs owned
-/// by indices `a..b` and must not depend on how the range is
-/// partitioned — the serial path may invoke `f` with one big range.
-pub fn parallel_for<F>(len: usize, grain: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let grain = grain.max(1);
-    let nchunks = len.div_ceil(grain);
-    active(|pool| {
-        if nchunks <= 1 || pool.num_threads() == 1 {
-            f(0..len);
-            return;
-        }
-        pool.scoped(|scope| {
-            let f = &f;
-            for c in 0..nchunks {
-                let start = c * grain;
-                let end = (start + grain).min(len);
-                scope.execute(move || f(start..end));
-            }
-        });
-    });
-}
-
 /// Runs `f(chunk_index, chunk)` over pre-split mutable chunks in
 /// parallel. Chunks are disjoint by construction, so this is the
 /// easiest deterministic way to fill an output buffer.
@@ -254,122 +219,10 @@ where
     });
 }
 
-/// Deterministic parallel reduction.
-///
-/// `0..len` is split into chunks of exactly `grain` indices (last one
-/// shorter); `map` produces one partial per chunk and `fold` combines
-/// the partials **sequentially in chunk order**. Because the chunk
-/// boundaries depend only on `grain`, the result is bitwise identical
-/// at every worker count, including the serial path.
-pub fn parallel_reduce<T, M, F>(len: usize, grain: usize, identity: T, map: M, fold: F) -> T
-where
-    T: Send,
-    M: Fn(Range<usize>) -> T + Sync,
-    F: Fn(T, T) -> T,
-{
-    let grain = grain.max(1);
-    let nchunks = len.div_ceil(grain);
-    if nchunks == 0 {
-        return identity;
-    }
-    let chunk_range = |c: usize| {
-        let start = c * grain;
-        start..(start + grain).min(len)
-    };
-    let partials: Vec<T> = active(|pool| {
-        if nchunks == 1 || pool.num_threads() == 1 {
-            (0..nchunks).map(|c| map(chunk_range(c))).collect()
-        } else {
-            let mut slots: Vec<Option<T>> = (0..nchunks).map(|_| None).collect();
-            pool.scoped(|scope| {
-                let map = &map;
-                for (c, slot) in slots.iter_mut().enumerate() {
-                    let range = chunk_range(c);
-                    scope.execute(move || *slot = Some(map(range)));
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("pool job completed"))
-                .collect()
-        }
-    });
-    partials.into_iter().fold(identity, fold)
-}
-
-/// Runs `a` on the pool and `b` inline, returning both results. Falls
-/// back to plain sequential calls on a single-worker pool.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-    RA: Send,
-{
-    active(|pool| {
-        if pool.num_threads() == 1 {
-            let (a, b) = (a, b);
-            return (a(), b());
-        }
-        let mut ra = None;
-        let rb = pool.scoped(|scope| {
-            let slot = &mut ra;
-            scope.execute(move || *slot = Some(a()));
-            b()
-        });
-        (ra.expect("pool job completed"), rb)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn parallel_for_covers_every_index_once() {
-        let pool = ThreadPool::new(4);
-        with_pool(&pool, || {
-            let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for(1000, 64, |range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        });
-    }
-
-    #[test]
-    fn reduce_is_identical_across_worker_counts() {
-        let data: Vec<f64> = (0..10_000).map(|i| (i as f64).sin() * 1e-3).collect();
-        let sum_with = |nt: usize| {
-            let pool = ThreadPool::new(nt);
-            with_pool(&pool, || {
-                parallel_reduce(
-                    data.len(),
-                    128,
-                    0.0f64,
-                    |r| r.map(|i| data[i]).sum::<f64>(),
-                    |a, b| a + b,
-                )
-            })
-        };
-        let s1 = sum_with(1);
-        let s2 = sum_with(2);
-        let s8 = sum_with(8);
-        assert_eq!(s1.to_bits(), s2.to_bits());
-        assert_eq!(s1.to_bits(), s8.to_bits());
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let pool = ThreadPool::new(2);
-        with_pool(&pool, || {
-            let (a, b) = join(|| 6 * 7, || "ok");
-            assert_eq!(a, 42);
-            assert_eq!(b, "ok");
-        });
-    }
 
     #[test]
     fn nested_scopes_do_not_deadlock() {
@@ -402,21 +255,6 @@ mod tests {
         pool.scoped(|scope| {
             scope.execute(|| panic!("boom"));
         });
-    }
-
-    #[test]
-    fn zero_len_and_single_chunk_work() {
-        parallel_for(0, 8, |_| panic!("must not run"));
-        let seen = AtomicUsize::new(0);
-        parallel_for(3, 8, |r| {
-            assert_eq!(r, 0..3);
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            parallel_reduce(0, 8, 7usize, |_| unreachable!(), |a, b: usize| a + b),
-            7
-        );
     }
 
     /// Serializes tests that flip the process-global host clamp.

@@ -11,7 +11,6 @@
 //! gfpd cancel   --addr ADDR --job ID
 //! gfpd stats    --addr ADDR
 //! gfpd shutdown --addr ADDR
-//! gfpd bench    [--smoke] [--workers N] [--out FILE]
 //! ```
 //!
 //! * `serve` binds (port `0` picks a free port), prints
@@ -24,16 +23,13 @@
 //!   hex positions; `attempts=`/`cache_hit=` live on their own lines
 //!   so crash-resume comparisons can filter them out (a resumed job
 //!   legitimately records more attempts than an uninterrupted one).
-//! * `bench` runs an in-process daemon under a mixed n10–n200 load
-//!   and writes a `gfp-service-bench-v1` JSON (jobs/sec, per-job
-//!   verdicts). `--smoke` trims the mix to CI size.
 //!
 //! Exit codes: 0 success, 1 daemon/transport error, 2 bad usage.
 
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gfp_service::{Client, Daemon, DaemonConfig, JobResult, JobSource, SubmitRequest};
 
@@ -44,8 +40,7 @@ fn usage() -> ! {
          \x20      gfpd submit --addr ADDR (--suite NAME | --yal FILE) [--deadline-ms N] \
          [--max-iter N] [--max-rounds N] [--wait]\n\
          \x20      gfpd status|fetch|cancel --addr ADDR --job ID\n\
-         \x20      gfpd stats|shutdown --addr ADDR\n\
-         \x20      gfpd bench [--smoke] [--workers N] [--out FILE]"
+         \x20      gfpd stats|shutdown --addr ADDR"
     );
     std::process::exit(2);
 }
@@ -94,7 +89,6 @@ fn main() {
             }
             println!("shutdown acknowledged");
         }
-        "bench" => bench(&args),
         _ => usage(),
     }
 }
@@ -232,140 +226,4 @@ fn print_result(r: &JobResult) {
     for (x, y) in &r.positions_bits {
         println!("pos {x:016x} {y:016x}");
     }
-}
-
-// ---------------------------------------------------------------------------
-// bench
-// ---------------------------------------------------------------------------
-
-struct BenchJob {
-    source: &'static str,
-    deadline_ms: u64,
-    max_iter: u32,
-    max_rounds: u32,
-}
-
-const fn bj(source: &'static str, deadline_ms: u64, max_iter: u32, max_rounds: u32) -> BenchJob {
-    BenchJob { source, deadline_ms, max_iter, max_rounds }
-}
-
-fn bench(args: &[String]) {
-    let mut smoke = false;
-    let mut workers = 2usize;
-    let mut out = PathBuf::from("BENCH_service.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut next = || it.next().cloned().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--workers" => workers = next().parse().unwrap_or_else(|_| usage()),
-            "--out" => out = PathBuf::from(next()),
-            _ => usage(),
-        }
-    }
-
-    // Mixed load: repeated small jobs (the duplicate n10 exercises the
-    // cache), mid-size jobs, and deadline-bounded large jobs that land
-    // as honest budget verdicts rather than stalling the run.
-    let mix: &[BenchJob] = if smoke {
-        &[
-            bj("n10", 0, 3, 2),
-            bj("n10", 0, 3, 2), // cache hit
-            bj("n10", 0, 2, 1),
-            bj("n30", 30_000, 3, 2),
-            bj("n50", 20_000, 3, 2),
-        ]
-    } else {
-        &[
-            bj("n10", 0, 3, 2),
-            bj("n10", 0, 3, 2), // cache hit
-            bj("n10", 0, 2, 1),
-            bj("n10", 0, 4, 3),
-            bj("n30", 60_000, 3, 2),
-            bj("n30", 60_000, 3, 3),
-            bj("n50", 60_000, 3, 2),
-            bj("n100", 60_000, 3, 2),
-            bj("n200", 90_000, 3, 2),
-        ]
-    };
-
-    let root = std::env::temp_dir().join(format!("gfpd-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let cfg = DaemonConfig { root: root.clone(), workers, queue_cap: mix.len().max(16), ..DaemonConfig::default() };
-    let mut daemon = match Daemon::start(cfg) {
-        Ok(d) => d,
-        Err(e) => fail(format!("failed to start bench daemon: {e}")),
-    };
-    let client = Client::new(daemon.addr());
-
-    let t0 = Instant::now();
-    let mut jobs = Vec::new();
-    for (k, job) in mix.iter().enumerate() {
-        let req = SubmitRequest {
-            source: JobSource::Suite(job.source.to_string()),
-            deadline_ms: job.deadline_ms,
-            max_iter: job.max_iter,
-            max_rounds: job.max_rounds,
-        };
-        match client.submit_with_retry(req, 1000) {
-            Ok((id, _)) => jobs.push((job, id, Instant::now())),
-            Err(e) => fail(format!("bench submit failed: {e}")),
-        }
-        // Land the first job before the rest of the mix goes in, so
-        // the duplicate submission deterministically hits the result
-        // cache instead of racing its twin through the queue.
-        if k == 0 {
-            let id = jobs[0].1;
-            if let Err(e) = client.wait_done(id, WAIT) {
-                fail(format!("bench warmup job {id} never finished: {e}"));
-            }
-        }
-    }
-    let mut rows = Vec::new();
-    let mut cache_hits = 0u64;
-    let mut degraded = 0u64;
-    for (job, id, submitted) in &jobs {
-        if let Err(e) = client.wait_done(*id, WAIT) {
-            fail(format!("bench job {id} never finished: {e}"));
-        }
-        let r = client.fetch(*id).unwrap_or_else(|e| fail(format!("fetch {id}: {e}")));
-        cache_hits += r.cache_hit as u64;
-        degraded += r.degraded as u64;
-        rows.push(format!(
-            "    {{\"source\": \"{}\", \"deadline_ms\": {}, \"max_iter\": {}, \
-             \"max_rounds\": {}, \"quality\": \"{}\", \"attempts\": {}, \
-             \"cache_hit\": {}, \"secs\": {:.3}}}",
-            job.source,
-            job.deadline_ms,
-            job.max_iter,
-            job.max_rounds,
-            r.quality,
-            r.attempts,
-            r.cache_hit,
-            submitted.elapsed().as_secs_f64()
-        ));
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    daemon.stop();
-    let _ = std::fs::remove_dir_all(&root);
-
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let json = format!(
-        "{{\n  \"schema\": \"gfp-service-bench-v1\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"workers\": {workers},\n  \"smoke\": {smoke},\n  \"jobs\": {},\n  \
-         \"cache_hits\": {cache_hits},\n  \"degraded\": {degraded},\n  \
-         \"elapsed_secs\": {elapsed:.3},\n  \"jobs_per_sec\": {:.4},\n  \"mix\": [\n{}\n  ]\n}}\n",
-        jobs.len(),
-        jobs.len() as f64 / elapsed,
-        rows.join(",\n"),
-    );
-    if let Err(e) = std::fs::write(&out, &json) {
-        fail(format!("cannot write {}: {e}", out.display()));
-    }
-    println!(
-        "bench: {} jobs in {elapsed:.1}s ({:.3} jobs/sec) -> {}",
-        jobs.len(),
-        jobs.len() as f64 / elapsed,
-        out.display()
-    );
 }

@@ -16,7 +16,6 @@ use gfp_core::lifted::{objective_matrix, AssemblyWorkspace};
 use gfp_core::neighbors::all_pairs;
 use gfp_core::subproblems::solve_subproblem1;
 use gfp_core::{Backend, GlobalFloorplanProblem, ProblemOptions};
-use gfp_linalg::{Mat, Qr};
 use gfp_netlist::suite::{generate, SuiteSpec};
 
 /// Builds a synthetic instance with exactly `n` modules.
@@ -36,16 +35,17 @@ fn instance(n: usize) -> GlobalFloorplanProblem {
         .normalized()
 }
 
-/// Least-squares slope of log(t) vs log(n).
+/// Least-squares slope of log(t) vs log(n): the closed-form simple
+/// regression `Sxy / Sxx` (NaN without two distinct sizes).
 fn loglog_slope(ns: &[usize], ts: &[f64]) -> f64 {
-    let rows: Vec<Vec<f64>> = ns.iter().map(|&n| vec![1.0, (n as f64).ln()]).collect();
-    let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-    let a = Mat::from_rows(&refs);
-    let b: Vec<f64> = ts.iter().map(|t| t.ln()).collect();
-    Qr::new(&a)
-        .and_then(|qr| qr.solve_least_squares(&b))
-        .map(|x| x[1])
-        .unwrap_or(f64::NAN)
+    let xs: Vec<f64> = ns.iter().map(|&n| (n as f64).ln()).collect();
+    let ys: Vec<f64> = ts.iter().map(|t| t.ln()).collect();
+    let m = xs.len() as f64;
+    let mx = xs.iter().sum::<f64>() / m;
+    let my = ys.iter().sum::<f64>() / m;
+    let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
+    sxy / sxx
 }
 
 fn main() {

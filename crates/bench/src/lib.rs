@@ -16,7 +16,6 @@
 //! and writes CSV next to its stdout table under `results/`.
 
 pub mod budget;
-pub mod microbench;
 pub mod runner;
 pub mod table;
 pub mod trace;

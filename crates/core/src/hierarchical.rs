@@ -34,9 +34,9 @@
 use gfp_linalg::Mat;
 use gfp_telemetry as telemetry;
 
-use crate::iterate::{FloorplannerSettings, OuterState, RoundSummary, SdpFloorplanner};
+use crate::iterate::{FloorplannerSettings, OuterState, RoundSummary};
 use crate::lifted::Lift;
-use crate::supervisor::{SolveQuality, SolveSupervisor, SupervisorSettings};
+use crate::supervisor::{DegradedResult, SolveQuality, SolveSupervisor, SupervisorSettings};
 use crate::{FloorplanError, GlobalFloorplanProblem};
 
 /// Settings for the hierarchical floorplanner.
@@ -228,8 +228,20 @@ impl HierarchicalFloorplanner {
         sup
     }
 
+    /// The supervised top stage over `problem` (the cluster-level
+    /// problem, or the whole instance when it has no more modules than
+    /// clusters), checkpointing into `top/`.
+    fn solve_top(&self, problem: &GlobalFloorplanProblem) -> DegradedResult {
+        stage_event("top", problem.n);
+        let mut top_st = self.settings.top.clone();
+        top_st.stage = "top";
+        SolveSupervisor::with_supervision(top_st, self.stage_supervision("top")).solve(problem)
+    }
+
     /// Runs the cluster–solve–flatten–refine flow on a (typically
-    /// large) problem.
+    /// large) problem. An instance with at most
+    /// [`HierarchicalSettings::max_clusters`] modules has nothing to
+    /// cluster: its top stage is the whole solve.
     ///
     /// Pre-placed modules are honored at the leaf and refine levels
     /// (their solves carry the PPM rows, and their exact coordinates
@@ -238,29 +250,24 @@ impl HierarchicalFloorplanner {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures from the degenerate flat path; the
-    /// staged pipeline itself is supervised and degrades instead of
-    /// failing (see [`HierarchicalFloorplan::quality`]).
+    /// None at present: every stage is supervised and degrades instead
+    /// of failing (see [`HierarchicalFloorplan::quality`]). The
+    /// `Result` leaves room for input validation.
     pub fn solve(
         &self,
         problem: &GlobalFloorplanProblem,
     ) -> Result<HierarchicalFloorplan, FloorplanError> {
         let n = problem.n;
         if n <= self.settings.max_clusters {
-            // Degenerate: flat solve.
-            let fp = SdpFloorplanner::new(self.settings.top.clone()).solve(problem)?;
+            let top = self.solve_top(problem);
             return Ok(HierarchicalFloorplan {
                 cluster_of: (0..n).collect(),
-                cluster_centers: fp.positions.clone(),
-                iterations: fp.iterations,
-                rounds: fp.rounds.clone(),
+                cluster_centers: top.floorplan.positions.clone(),
+                iterations: top.floorplan.iterations,
+                rounds: top.floorplan.rounds,
                 refined: false,
-                quality: if fp.converged {
-                    SolveQuality::Certified
-                } else {
-                    SolveQuality::BudgetExhausted
-                },
-                positions: fp.positions,
+                quality: top.quality,
+                positions: top.floorplan.positions,
             });
         }
         let cluster_of = cluster_modules(&problem.a, &problem.areas, self.settings.max_clusters);
@@ -324,11 +331,7 @@ impl HierarchicalFloorplanner {
             max_distance: Vec::new(),
             min_distance: Vec::new(),
         };
-        stage_event("top", k);
-        let mut top_st = self.settings.top.clone();
-        top_st.stage = "top";
-        let top = SolveSupervisor::with_supervision(top_st, self.stage_supervision("top"))
-            .solve(&top_problem);
+        let top = self.solve_top(&top_problem);
         let mut iterations = top.floorplan.iterations;
         let mut rounds = top.floorplan.rounds.clone();
         let mut quality = top.quality;
@@ -524,12 +527,30 @@ mod tests {
         let b = suite::gsrc_n10();
         let p =
             GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default()).unwrap();
+        let root = std::env::temp_dir().join(format!("gfp-hier-degenerate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
         let mut settings = HierarchicalSettings::default();
         settings.max_clusters = 32; // more than n
         settings.top.max_iter = 3;
-        let fp = HierarchicalFloorplanner::new(settings).solve(&p).unwrap();
+        settings.supervision.checkpoint_dir = Some(root.clone());
+        let fp = HierarchicalFloorplanner::new(settings.clone()).solve(&p).unwrap();
         assert_eq!(fp.positions.len(), 10);
         assert_eq!(fp.cluster_of, (0..10).collect::<Vec<_>>());
+        // The single stage is the supervised top stage: it snapshots
+        // under the root's `top/`, and its rows say so.
+        let snapshots = std::fs::read_dir(root.join("top"))
+            .map(|d| d.count())
+            .unwrap_or(0);
+        let _ = std::fs::remove_dir_all(&root);
+        assert!(snapshots > 0, "no snapshot under the checkpoint root's top/");
+        assert!(!fp.rounds.is_empty());
+        assert!(fp.rounds.iter().all(|r| r.stage == "top"));
+        // A clean run places exactly as the unsupervised solver would.
+        let mut bare_st = settings.top;
+        bare_st.stage = "top";
+        let bare = crate::SdpFloorplanner::new(bare_st).solve(&p).unwrap();
+        assert_eq!(fp.positions, bare.positions);
+        assert_eq!(fp.iterations, bare.iterations);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use gfp_conic::ipm::BarrierSdp;
 use gfp_conic::{AdmmReuse, AdmmSettings, AdmmSolver, SolveStatus};
-use gfp_linalg::{eigh, lanczos_extreme, Extreme, LanczosOptions, Mat, PartialEigh};
+use gfp_linalg::{eigh, top_pairs, Mat};
 use gfp_telemetry as telemetry;
 
 use crate::iterate::Backend;
@@ -45,7 +45,8 @@ pub struct Sp1Result {
 ///   convex iteration the ADMM backend can reuse its Ruiz
 ///   equilibration, Jacobi preconditioner and CG workspace, and
 ///   warm-start the duals from the previous solve — see [`AdmmReuse`].
-///   The IPM ignores it; `None` solves from scratch.
+///   The IPM ignores it; `None` solves from scratch, as the cold
+///   solves `fig5b` times and the unit tests below run.
 /// * `pairs` is the distance-constraint plan (see [`crate::neighbors`];
 ///   [`crate::neighbors::all_pairs`] for the full problem) and
 ///   `workspace` the reusable assembly buffers, as in
@@ -116,17 +117,14 @@ pub fn solve_subproblem1(
 }
 
 /// Smallest lifted dimension `n + 2` worth the partial-spectrum path;
-/// below it a dense `eigh` is already cheap and Lanczos would fall
-/// back to it internally anyway.
+/// below it a dense `eigh` is already cheap.
 const SP2_FASTPATH_MIN_N: usize = 32;
-/// Relative residual tolerance for accepting Lanczos eigenpairs.
+/// Relative residual tolerance for accepting the top eigenpairs.
 /// Deliberately tight: `W` feeds the next ADMM objective, and keeping
 /// the fast-path `W` within ~1e-11 of the dense one keeps the two
 /// iterate trajectories on the same ADMM stopping iterations, so a
 /// fast-path-off run reproduces the same final wirelength to ~1e-6.
 const SP2_PARTIAL_TOL: f64 = 1e-11;
-/// Fixed power-iteration steps estimating `λ₃` of the deflated `Z`.
-const SP2_GUARD_STEPS: usize = 8;
 
 /// Solves sub-problem 2 (Eq. 19) in closed form: the minimizer of
 /// `<W, Z>` over `0 ⪯ W ⪯ I`, `trace W = n` is `W = U Uᵀ` with `U`
@@ -136,15 +134,15 @@ const SP2_GUARD_STEPS: usize = 8;
 /// vanishes exactly when `rank(Z) ≤ 2`.
 ///
 /// Since `U Uᵀ = I − V Vᵀ` with `V` spanning the **two largest**
-/// eigenpairs, large instances take a spectral fast path: a partial
-/// Lanczos solve for those two pairs, with `gap = trace Z − λ₁ − λ₂`
-/// by the trace identity. The fast path is only accepted when the
-/// Lanczos residuals certify both pairs *and* a deflated power
-/// iteration confirms `λ₃` is well separated from `λ₂` (a hidden
-/// multiplicity at `λ₂` would silently corrupt the projector);
-/// otherwise — and whenever `GFP_NO_SPECTRAL_FASTPATH` disables the
-/// path — the dense `eigh` route below is used. Fast-path acceptance
-/// is counted on `kernel.eigh_partial.hit`, rejection on
+/// eigenpairs, large instances take a spectral fast path:
+/// [`gfp_linalg::top_pairs`] returns those two pairs, and
+/// `gap = trace Z − λ₁ − λ₂` by the trace identity. `top_pairs` accepts
+/// only residual-certified pairs whose `λ₂` an exact Sturm count shows
+/// to be separated from `λ₃` (a copy of `λ₂` left out would silently
+/// corrupt the projector); otherwise — and whenever
+/// `GFP_NO_SPECTRAL_FASTPATH` disables the path — the dense `eigh`
+/// route below is used. Fast-path acceptance is counted on
+/// `kernel.eigh_partial.hit`, rejection on
 /// `kernel.eigh_partial.fallback`.
 ///
 /// # Errors
@@ -175,75 +173,20 @@ pub fn solve_subproblem2(z_mat: &Mat, n: usize) -> Result<(Mat, f64), FloorplanE
 }
 
 /// The deflated fast path of [`solve_subproblem2`]: `W = I − V Vᵀ`
-/// from the two largest Lanczos eigenpairs. `None` means "not
-/// certified — use the dense route" and is always safe.
+/// from the two largest eigenpairs. `None` means "not certified — use
+/// the dense route" and is always safe. A solver error takes the dense
+/// route too, which reports a real input fault itself.
 fn try_deflated_subproblem2(z_mat: &Mat, nn: usize) -> Option<(Mat, f64)> {
-    let opts = LanczosOptions {
-        tol: SP2_PARTIAL_TOL,
-        ..LanczosOptions::default()
-    };
-    let pe = lanczos_extreme(z_mat, 2, Extreme::Largest, &opts).ok()?;
-    if pe.values.len() != 2 || !pe.converged(SP2_PARTIAL_TOL) {
-        return None;
-    }
+    let top = top_pairs(z_mat, 2, SP2_PARTIAL_TOL).ok()??;
     // Values ascend within the returned pair: [λ₂, λ₁].
-    let (l2, l1) = (pe.values[0], pe.values[1]);
-    if !l1.is_finite() || !l2.is_finite() || l2 <= 0.0 {
-        return None;
-    }
-    // Multiplicity guard: a single-vector Lanczos recurrence finds one
-    // Ritz vector per eigenvalue *cluster*, so an exact copy of λ₂
-    // could be missed with perfect residuals. The deflated operator
-    // (I − VVᵀ) Z still exposes the missed copy as spectral mass at
-    // λ₂; accept the rank-2 projector only when the estimate sits
-    // clearly below λ₂.
-    let l3 = deflated_spectral_norm(z_mat, &pe, SP2_GUARD_STEPS);
-    if !l3.is_finite() || l3 > 0.5 * l2 {
-        return None;
-    }
-    let gap = z_mat.trace() - l1 - l2;
+    let gap = z_mat.trace() - top.values[1] - top.values[0];
     let w = gfp_linalg::spectral_accumulate(
-        &pe.vectors,
+        &top.vectors,
         &[-1.0, -1.0],
         0..2,
         Some(&Mat::identity(nn)),
     );
     Some((w, gap))
-}
-
-/// Power-iteration estimate of the spectral norm of
-/// `(I − VVᵀ) Z (I − VVᵀ)` — i.e. `|λ₃|` of `Z` when `V` really spans
-/// the top-2 invariant subspace. Fixed seed and a fixed step count
-/// keep it deterministic.
-fn deflated_spectral_norm(z: &Mat, pe: &PartialEigh, steps: usize) -> f64 {
-    let n = z.nrows();
-    let deflate = |x: &mut [f64]| {
-        for k in 0..pe.vectors.ncols() {
-            let dot: f64 = (0..n).map(|i| pe.vectors[(i, k)] * x[i]).sum();
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi -= dot * pe.vectors[(i, k)];
-            }
-        }
-    };
-    let mut rng = gfp_rand::Rng::seed_from_u64(0x5350_325f); // "SP2_"
-    let mut x: Vec<f64> = (0..n).map(|_| 2.0 * rng.gen_f64() - 1.0).collect();
-    let mut y = vec![0.0; n];
-    let mut est = f64::INFINITY;
-    for _ in 0..steps {
-        deflate(&mut x);
-        let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm <= 1e-300 {
-            return 0.0; // deflated residual vanished: nothing beyond V
-        }
-        for v in &mut x {
-            *v /= norm;
-        }
-        z.matvec_into(&x, &mut y);
-        deflate(&mut y);
-        est = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-        std::mem::swap(&mut x, &mut y);
-    }
-    est
 }
 
 /// Cross-check: solves sub-problem 2 through the generic ADMM conic

@@ -344,9 +344,12 @@ impl SolveSupervisor {
     /// Best-effort durable checkpoint: a solve must never fail because
     /// the disk did (the full state is still returned in-memory), so
     /// write errors are counted (`store.write_error` inside the store)
-    /// and reported as an event, not propagated.
+    /// and reported as an event, not propagated. Encode and write run
+    /// inside a `supervisor.persist` span, so a report splits a durable
+    /// solve's time into persistence and the rest.
     fn persist(&self, store: &mut Option<SnapshotStore>, state: &OuterState) {
         let Some(store) = store.as_mut() else { return };
+        let _span = telemetry::span("supervisor.persist");
         let payload = encode_state(state);
         if let Err(e) = store.write(STATE_FORMAT_VERSION, &payload) {
             if telemetry::enabled() {

@@ -1,11 +1,14 @@
 //! Partial-vs-full spectral equivalence for sub-problem 2.
 //!
-//! The deflated fast path (`W = I − VVᵀ` from two Lanczos eigenpairs)
+//! The deflated fast path (`W = I − VVᵀ` from the two eigenpairs
+//! `gfp_linalg::top_pairs` certifies)
 //! must agree with the dense `eigh` route on every spectrum shape it
 //! accepts, and must *reject* (falling back to the dense route, bit
 //! for bit) any spectrum where the rank-2 projector is ambiguous.
-//! The fast-path switch is process-global, so every test that flips
-//! it serializes on [`FASTPATH_LOCK`].
+//! The fast-path switch and the hit/fallback counters are
+//! process-global, so every test holds [`FASTPATH_LOCK`] (through a
+//! [`PathGuard`]) for its whole body: a counter read before or after a
+//! solve then sees no other test's solves.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -55,10 +58,10 @@ fn counter(name: &str) -> u64 {
         .map_or(0, |(_, v)| v)
 }
 
-/// Solves sub-problem 2 with the fast path forced on, then off, under
-/// one lock hold. Returns `((w_fast, gap_fast), (w_full, gap_full))`.
+/// Solves sub-problem 2 with the fast path on, then off; the caller
+/// holds a [`PathGuard`] forcing it on. Returns
+/// `((w_fast, gap_fast), (w_full, gap_full))`.
 fn both_paths(zm: &Mat, n: usize) -> ((Mat, f64), (Mat, f64)) {
-    let _guard = PathGuard::force(true);
     let fast = solve_subproblem2(zm, n).expect("fast-path solve");
     let prev = fastpath::set_enabled(false);
     let full = solve_subproblem2(zm, n).expect("dense solve");
@@ -92,25 +95,31 @@ fn assert_bitwise(fast: &(Mat, f64), full: &(Mat, f64), what: &str) {
 
 #[test]
 fn partial_matches_dense_on_generic_lifted_z() {
-    let n = 30; // nn = 32: the smallest size that takes the fast path
-    let lift = Lift::new(n);
-    let mut rng = Rng::seed_from_u64(0x5eed_5050);
-    let pos: Vec<(f64, f64)> = (0..n)
-        .map(|_| (20.0 * rng.gen_f64(), 20.0 * rng.gen_f64()))
-        .collect();
-    let z = lift.embed_positions(&pos, 0.8);
-    let zm = lift.z_matrix(&z);
-    let hits0 = counter("kernel.eigh_partial.hit");
-    let (fast, full) = both_paths(&zm, n);
-    assert_close(&fast, &full, "generic lifted Z");
-    assert!(
-        counter("kernel.eigh_partial.hit") > hits0,
-        "generic spectrum must take the fast path"
-    );
+    let _guard = PathGuard::force(true);
+    // nn = 32: the smallest size that takes the fast path; nn = 102 and
+    // 202: the cones of the hierarchical n500 top level and of flat n200.
+    for n in [30, 100, 200] {
+        let lift = Lift::new(n);
+        let mut rng = Rng::seed_from_u64(0x5eed_5050);
+        let pos: Vec<(f64, f64)> = (0..n)
+            .map(|_| (20.0 * rng.gen_f64(), 20.0 * rng.gen_f64()))
+            .collect();
+        let z = lift.embed_positions(&pos, 0.8);
+        let zm = lift.z_matrix(&z);
+        let hits0 = counter("kernel.eigh_partial.hit");
+        let (fast, full) = both_paths(&zm, n);
+        assert_close(&fast, &full, &format!("generic lifted Z, nn = {}", n + 2));
+        assert!(
+            counter("kernel.eigh_partial.hit") > hits0,
+            "generic spectrum must take the fast path (nn = {})",
+            n + 2
+        );
+    }
 }
 
 #[test]
 fn partial_matches_dense_on_rank_deficient_z() {
+    let _guard = PathGuard::force(true);
     // Slack 0: Z is an exact rank-2 lift, the rank gap vanishes and
     // the deflation identity gap = trace − λ₁ − λ₂ is exact.
     let n = 30;
@@ -132,10 +141,10 @@ fn partial_matches_dense_on_rank_deficient_z() {
 
 #[test]
 fn flat_spectrum_falls_back_to_dense_bitwise() {
-    // Every eigenvalue equal: no top-2 separation exists, the deflated
-    // power estimate sits at λ₂ and the guard must route the call to
-    // the dense path — whose result is then bitwise identical to a
-    // fast-path-disabled solve.
+    let _guard = PathGuard::force(true);
+    // Every eigenvalue equal: no top-2 separation exists, the Sturm
+    // check must route the call to the dense path — whose result is
+    // then bitwise identical to a fast-path-disabled solve.
     let n = 30;
     let nn = n + 2;
     let mut zm = Mat::zeros(nn, nn);
@@ -156,9 +165,10 @@ fn flat_spectrum_falls_back_to_dense_bitwise() {
 
 #[test]
 fn exact_top_multiplicity_matches_dense() {
+    let _guard = PathGuard::force(true);
     // λ₁ = λ₂ exactly (a clustered top pair over a 0.1·I floor): the
-    // top-2 projector is still unique, so whichever route the guard
-    // picks must agree with the dense one.
+    // top-2 projector is still unique, so whichever route the Sturm
+    // check picks must agree with the dense one.
     let nn = 36;
     let n = nn - 2;
     let mut rng = Rng::seed_from_u64(0x5eed_5151);
@@ -195,6 +205,7 @@ fn exact_top_multiplicity_matches_dense() {
 
 #[test]
 fn below_threshold_sizes_never_take_the_fast_path() {
+    let _guard = PathGuard::force(true);
     // nn = 12 < 32: fast-path on and off must be bitwise identical
     // (this is what keeps the n10 golden trace stable).
     let n = 10;
@@ -212,7 +223,7 @@ fn below_threshold_sizes_never_take_the_fast_path() {
 
 /// Full-driver A/B at n30 (slow tier): the spectral fast path must not
 /// move the final layout quality. The paths genuinely diverge in the
-/// last bits (Lanczos vectors are ~1e-11-accurate, not exact), so the
+/// last bits (the partial vectors are ~1e-11-accurate, not exact), so the
 /// comparison is on the reported wirelength, not on bits.
 #[test]
 #[ignore = "slow tier: two full n30 solves (fast path on and off)"]

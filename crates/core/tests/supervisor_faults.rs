@@ -218,14 +218,14 @@ fn injected_faults_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// An injected Lanczos breakdown must be *invisible* to the
-/// supervisor: sub-problem 2's spectral fast path falls back to the
-/// dense `eigh` route internally, so the run needs no recovery and
-/// ends with the same quality verdict as a clean one. Uses n30 — the
-/// smallest suite instance whose lifted dimension (32) reaches the
-/// Lanczos path at all.
+/// An injected breakdown of the top-pairs eigensolver must be
+/// *invisible* to the supervisor: sub-problem 2's spectral fast path
+/// falls back to the dense `eigh` route internally, so the run needs no
+/// recovery and ends with the same quality verdict as a clean one. Uses
+/// n30 — the smallest suite instance whose lifted dimension (32)
+/// reaches the fast path at all.
 #[test]
-fn lanczos_breakdown_falls_back_to_dense_eigh_without_recovery() {
+fn top_pairs_breakdown_falls_back_to_dense_eigh_without_recovery() {
     let _g = lock();
     let b = suite::gsrc_n30();
     let problem =
@@ -242,16 +242,16 @@ fn lanczos_breakdown_falls_back_to_dense_eigh_without_recovery() {
     gfp_fault::disarm();
     let clean = sup.solve(&problem);
 
-    let hits_before = gfp_fault::site_hits(Site::Lanczos);
-    gfp_fault::arm(FaultPlan::single(Site::Lanczos, FaultKind::Stall, 1));
+    let hits_before = gfp_fault::site_hits(Site::TopPairs);
+    gfp_fault::arm(FaultPlan::single(Site::TopPairs, FaultKind::Stall, 1));
     let faulted = sup.solve(&problem);
     let fired = gfp_fault::injected_total();
     gfp_fault::disarm();
 
-    assert!(fired > 0, "lanczos fault never fired");
+    assert!(fired > 0, "top_pairs fault never fired");
     assert!(
-        gfp_fault::site_hits(Site::Lanczos) > hits_before,
-        "lanczos site never polled — fast path not reached at n30"
+        gfp_fault::site_hits(Site::TopPairs) > hits_before,
+        "top_pairs site never polled — fast path not reached at n30"
     );
     assert_eq!(faulted.floorplan.positions.len(), 30);
     assert!(
@@ -260,15 +260,15 @@ fn lanczos_breakdown_falls_back_to_dense_eigh_without_recovery() {
             .positions
             .iter()
             .all(|p| p.0.is_finite() && p.1.is_finite()),
-        "lanczos fallback leaked a non-finite placement"
+        "top_pairs fallback leaked a non-finite placement"
     );
     assert_eq!(
         faulted.recoveries, 0,
-        "lanczos breakdown must be absorbed inside sub-problem 2, not recovered"
+        "top_pairs breakdown must be absorbed inside sub-problem 2, not recovered"
     );
     assert_eq!(
         faulted.quality, clean.quality,
-        "quality verdict changed under an absorbed lanczos fault"
+        "quality verdict changed under an absorbed top_pairs fault"
     );
 }
 

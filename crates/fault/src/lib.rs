@@ -57,8 +57,10 @@ pub enum Site {
     Eigh,
     /// CSR matrix-vector product (`gfp-linalg`, `sparse.rs`).
     CsrMatvec,
-    /// Lanczos partial eigensolver entry (`gfp-linalg`, `lanczos.rs`).
-    Lanczos,
+    /// Top-`k` partial eigensolver entry (`gfp-linalg`, `top_pairs` in
+    /// `tridiag.rs`), polled once per call; sub-problem 2's fast path
+    /// is its only caller.
+    TopPairs,
     /// Durable snapshot write (`gfp-store`, `snapshot.rs`). Kinds map
     /// to storage failures: `Nan`/`Inf`/`Stall` → the write fails with
     /// an injected I/O error (nothing lands on disk), `BudgetExhaust`
@@ -97,7 +99,7 @@ impl Site {
         Site::IpmNewton,
         Site::Eigh,
         Site::CsrMatvec,
-        Site::Lanczos,
+        Site::TopPairs,
         Site::CheckpointWrite,
         Site::ServiceFrameRead,
         Site::ServiceConnDrop,
@@ -121,7 +123,7 @@ impl Site {
             Site::IpmNewton => "ipm.newton",
             Site::Eigh => "eigh",
             Site::CsrMatvec => "csr.matvec",
-            Site::Lanczos => "lanczos",
+            Site::TopPairs => "top_pairs",
             Site::CheckpointWrite => "checkpoint.write",
             Site::ServiceFrameRead => "service.frame_read",
             Site::ServiceConnDrop => "service.conn_drop",
@@ -137,7 +139,7 @@ impl Site {
             Site::IpmNewton => 1,
             Site::Eigh => 2,
             Site::CsrMatvec => 3,
-            Site::Lanczos => 4,
+            Site::TopPairs => 4,
             Site::CheckpointWrite => 5,
             Site::ServiceFrameRead => 6,
             Site::ServiceConnDrop => 7,

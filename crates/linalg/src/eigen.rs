@@ -1,6 +1,7 @@
 use crate::{LinalgError, Mat};
 
-/// Result of a symmetric eigendecomposition: `A = V diag(values) Vᵀ`.
+/// Result of a symmetric eigendecomposition: `A = V diag(values) Vᵀ`,
+/// or, from [`crate::top_pairs`], the `k` largest of its pairs.
 ///
 /// Eigenvalues are sorted in ascending order; column `k` of
 /// [`vectors`](Eigh::vectors) is the unit eigenvector for `values[k]`.
@@ -13,7 +14,8 @@ pub struct Eigh {
 }
 
 impl Eigh {
-    /// Reconstructs `A = V diag(λ) Vᵀ` (mainly for testing).
+    /// Reconstructs `A = V diag(λ) Vᵀ` from a full decomposition
+    /// (mainly for testing).
     pub fn reconstruct(&self) -> Mat {
         let n = self.values.len();
         let mut d = Mat::zeros(n, n);
@@ -80,42 +82,60 @@ pub fn eigh(a: &Mat) -> Result<Eigh, LinalgError> {
 }
 
 /// The working copy [`eigh`] and [`eigvalsh`] decompose (`None` for a
-/// 0×0 input): `a` symmetrized, behind the `Site::Eigh` fault hook and
-/// the NaN/Inf guard.
+/// 0×0 input).
 fn ql_input(a: &Mat) -> Result<Option<Mat>, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.nrows(),
-            cols: a.ncols(),
-        });
-    }
-    if a.nrows() == 0 {
+    if square_dim(a)? == 0 {
         return Ok(None);
     }
-    // Work on a symmetrized copy so callers may pass nearly-symmetric input.
+    symmetric_copy(a, gfp_fault::Site::Eigh, "tqli", "eigh input").map(Some)
+}
+
+/// The dimension of square `a`; [`LinalgError::NotSquare`] otherwise.
+pub(crate) fn square_dim(a: &Mat) -> Result<usize, LinalgError> {
+    if a.is_square() {
+        Ok(a.nrows())
+    } else {
+        Err(LinalgError::NotSquare {
+            rows: a.nrows(),
+            cols: a.ncols(),
+        })
+    }
+}
+
+/// A symmetrized working copy of `a` (callers may pass
+/// nearly-symmetric input), behind the fault hook at `site` and the
+/// NaN/Inf guard. An injected stall or exhausted budget surfaces as
+/// `NoConvergence { method }`; injected NaN/Inf, like non-finite input,
+/// as `NonFinite { what }`.
+pub(crate) fn symmetric_copy(
+    a: &Mat,
+    site: gfp_fault::Site,
+    method: &'static str,
+    what: &'static str,
+) -> Result<Mat, LinalgError> {
     let mut z = a.clone();
     z.symmetrize_mut();
     // Fault-injection hook (no-op unless the `fault-inject` feature is
-    // on): corrupts the working copy or simulates a QL stall, always
-    // upstream of the guards below so they are what gets exercised.
-    if let Some(fired) = gfp_fault::corrupt_first(gfp_fault::Site::Eigh, z.as_mut_slice()) {
-        match fired.kind {
-            gfp_fault::FaultKind::Stall | gfp_fault::FaultKind::BudgetExhaust => {
-                return Err(LinalgError::NoConvergence {
-                    method: "tqli",
-                    iterations: 0,
-                });
-            }
-            _ => {}
+    // on): corrupts the working copy or simulates a stall, always
+    // upstream of the guard below so it is what gets exercised.
+    if let Some(fired) = gfp_fault::corrupt_first(site, z.as_mut_slice()) {
+        if matches!(
+            fired.kind,
+            gfp_fault::FaultKind::Stall | gfp_fault::FaultKind::BudgetExhaust
+        ) {
+            return Err(LinalgError::NoConvergence {
+                method,
+                iterations: 0,
+            });
         }
     }
-    // Breakdown guard: NaN/Inf in the input would send the QL
-    // iteration into a non-terminating or panicking regime; fail fast
+    // Breakdown guard: NaN/Inf input would send the QL iteration or a
+    // bisection into a non-terminating or panicking regime; fail fast
     // with a structured error the supervisor can act on.
     if !z.as_slice().iter().all(|v| v.is_finite()) {
-        return Err(LinalgError::NonFinite { what: "eigh input" });
+        return Err(LinalgError::NonFinite { what });
     }
-    Ok(Some(z))
+    Ok(z)
 }
 
 /// Flop floor (`n²·p/2` weighted dot products) below which

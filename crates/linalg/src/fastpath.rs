@@ -1,12 +1,13 @@
 //! Runtime toggle for the spectral fast paths.
 //!
 //! The partial-eigendecomposition shortcuts (deflated `W = I − VVᵀ` in
-//! sub-problem 2, the partial-spectrum PSD projection inside ADMM)
-//! trade a full dense `eigh` for a handful of Lanczos iterations. They
-//! fall back to the exact dense path whenever their residual checks
-//! fail, so they are safe by construction — but for A/B comparisons,
-//! regression hunting and benchmarking, both paths must be selectable
-//! at run time:
+//! sub-problem 2 via [`crate::top_pairs`], the partial-spectrum PSD
+//! projection inside ADMM via [`crate::spectral_side`]) trade a full
+//! dense `eigh` for a tridiagonal reduction and a few certified
+//! eigenpairs. They fall back to the exact dense path whenever their
+//! Sturm-count or residual checks fail, so they are safe by
+//! construction — but for A/B comparisons, regression hunting and
+//! benchmarking, both paths must be selectable at run time:
 //!
 //! * Environment: set `GFP_NO_SPECTRAL_FASTPATH=1` (any value other
 //!   than `0` or empty) to disable the fast paths process-wide.

@@ -2,8 +2,9 @@
 //!
 //! This crate is the numerical substrate for the SDP-based global
 //! floorplanner: it provides the dense [`Mat`] type, symmetric
-//! eigendecomposition ([`eigh`]), triangular factorizations
-//! ([`Cholesky`], [`Ldlt`], [`Lu`], [`Qr`]), a compressed sparse row
+//! eigendecomposition ([`eigh`]) and one certified partial eigensolver
+//! ([`spectral_side`], [`top_pairs`]), triangular factorizations
+//! ([`Cholesky`], [`Ldlt`], [`Lu`]), a compressed sparse row
 //! matrix ([`sparse::CsrMat`]), conjugate-gradient solvers
 //! ([`cg::cg`]) and the scaled symmetric vectorization used by the
 //! conic solver ([`svec::svec`] / [`svec::smat`]).
@@ -35,10 +36,8 @@
 mod chol;
 mod eigen;
 mod error;
-mod lanczos;
 mod lu;
 mod mat;
-mod qr;
 mod tridiag;
 
 pub mod cg;
@@ -50,11 +49,9 @@ pub mod vec_ops;
 pub use chol::{Cholesky, Ldlt};
 pub use eigen::{eigh, eigvalsh, spectral_accumulate, Eigh};
 pub use error::LinalgError;
-pub use lanczos::{lanczos_extreme, Extreme, LanczosOptions, PartialEigh};
 pub use lu::Lu;
 pub use mat::Mat;
-pub use qr::Qr;
-pub use tridiag::{spectral_side, SideKind, SpectralSide};
+pub use tridiag::{spectral_side, top_pairs, SideKind, SpectralSide};
 
 /// Starts a wall-clock sample for a kernel-level telemetry counter,
 /// but only when telemetry is enabled (zero cost otherwise).
@@ -101,11 +98,6 @@ pub(crate) fn kernel_record(kind: &'static str, timer: Option<std::time::Instant
             "kernel.spectral_accumulate.calls",
             "kernel.spectral_accumulate.micros",
             "kernel.spectral_accumulate.wall_micros"
-        ),
-        "lanczos" => record!(
-            "kernel.lanczos.calls",
-            "kernel.lanczos.micros",
-            "kernel.lanczos.wall_micros"
         ),
         "spectral_side" => record!(
             "kernel.spectral_side.calls",

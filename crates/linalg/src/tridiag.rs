@@ -1,24 +1,24 @@
 //! Partial symmetric eigensolver via tridiagonal bisection and inverse
 //! iteration.
 //!
-//! [`spectral_side`] answers the question the PSD-cone projection
-//! actually asks: *which eigenvalues of `A` are significantly negative
-//! (or positive), and what is their invariant subspace?* It
-//! Householder-reduces `A` to tridiagonal form **without** forming the
-//! accumulated `Q` (half the cost of a full [`crate::eigh`]), counts
-//! each side of the spectrum exactly with Sturm sequences, and — when
-//! one side is small enough to be worth it — extracts just that side's
-//! eigenpairs by bisection + tridiagonal inverse iteration, applying
-//! the stored reflectors to the skinny eigenvector block instead of
-//! ever materialising `Q`.
+//! Two entries share one solver. [`spectral_side`] answers the question
+//! the PSD-cone projection actually asks: *which eigenvalues of `A` are
+//! significantly negative (or positive), and what is their invariant
+//! subspace?* [`top_pairs`] returns the `k` largest eigenpairs, which
+//! is all sub-problem 2 needs. Both Householder-reduce `A` to
+//! tridiagonal form **without** forming the accumulated `Q` (half the
+//! cost of a full [`crate::eigh`]), locate eigenvalues with Sturm
+//! sequences, extract the wanted pairs by bisection + tridiagonal
+//! inverse iteration, and apply the stored reflectors to the skinny
+//! eigenvector block instead of ever materialising `Q`.
 //!
-//! Unlike a Lanczos run, the Sturm counts are *exact* (they are pivot
-//! sign counts of `T − xI`, not a convergence heuristic), so the
-//! routine can certify that the returned pairs are the **complete**
-//! set beyond the cut — the property the projection needs for
-//! correctness. Every returned pair additionally carries an explicit
-//! tridiagonal residual check; any doubt returns `Ok(None)` and the
-//! caller runs the dense path.
+//! The Sturm counts are *exact* (they are pivot sign counts of
+//! `T − xI`, not a convergence heuristic), so the routines can certify
+//! what a Krylov method cannot: that the returned pairs are the
+//! **complete** set beyond the projection's cut, or that the `k`-th
+//! largest eigenvalue is separated from the next one. Every returned
+//! pair additionally carries an explicit tridiagonal residual check;
+//! any doubt returns `Ok(None)` and the caller runs the dense path.
 //!
 //! Everything here is deterministic: fixed-seed inverse-iteration
 //! starts, fixed bisection order, sequential Gram–Schmidt. The
@@ -27,8 +27,11 @@
 //! contract; the `tred2` reduction shared with [`crate::eigh`] runs
 //! serially.
 
-use crate::eigen::tred2_reduce;
-use crate::{LinalgError, Mat};
+use std::ops::Range;
+
+use crate::eigen::{square_dim, symmetric_copy, tred2_reduce};
+use crate::{Eigh, LinalgError, Mat};
+use gfp_fault::Site;
 use gfp_rand::Rng;
 
 /// Which extreme of the spectrum a [`SpectralSide`] describes.
@@ -87,8 +90,173 @@ const BISECT_REL_TOL: f64 = 1e-6;
 /// `dstein`'s cluster policy). Pairs separated by more than this are
 /// orthogonal for free: the cross-contamination of certified vectors
 /// is bounded by residual/gap ≤ 1e-9/1e-2 = 1e-7, below the
-/// projection's own truncation error.
+/// projection's own truncation error. [`top_pairs`] demands the same
+/// separation between the last returned eigenvalue and the first one
+/// left out, so its block is orthogonal to the rest of the spectrum by
+/// the same bound.
 const ORTHO_REL_WINDOW: f64 = 1e-2;
+
+/// `A` Householder-reduced to the symmetric tridiagonal `T = (d, e)`,
+/// with the reflectors kept for [`apply_reflectors`] and the
+/// Gershgorin bound on the spectral radius of `T` (= that of `A`).
+struct Tridiagonal {
+    /// `tred2_reduce`'s working matrix: the stored reflectors.
+    q: Mat,
+    /// Reflector scales from `tred2_reduce`.
+    hh: Vec<f64>,
+    /// Diagonal of `T`.
+    d: Vec<f64>,
+    /// Subdiagonal of `T` (`e[0]` unused).
+    e: Vec<f64>,
+    /// Gershgorin bound on the spectral radius.
+    scale: f64,
+    /// Started before the reduction; closed by [`Self::record`].
+    timer: Option<std::time::Instant>,
+}
+
+impl Tridiagonal {
+    /// The prelude both entries share: a symmetrized copy of `a` behind
+    /// the fault hook at `site` and the NaN/Inf guard, reduced by
+    /// `tred2_reduce`, with the Gershgorin bound.
+    fn reduce(
+        a: &Mat,
+        site: Site,
+        method: &'static str,
+        what: &'static str,
+    ) -> Result<Self, LinalgError> {
+        let timer = crate::kernel_timer();
+        let mut q = symmetric_copy(a, site, method, what)?;
+        let n = q.nrows();
+        let mut hh = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        tred2_reduce(&mut q, &mut hh, &mut e);
+        let d: Vec<f64> = (0..n).map(|i| q[(i, i)]).collect();
+        let mut scale = 0.0f64;
+        for i in 0..n {
+            let lo = if i > 0 { e[i].abs() } else { 0.0 };
+            let hi = if i + 1 < n { e[i + 1].abs() } else { 0.0 };
+            scale = scale.max(d[i].abs() + lo + hi);
+        }
+        Ok(Tridiagonal {
+            q,
+            hh,
+            d,
+            e,
+            scale,
+            timer,
+        })
+    }
+
+    /// Closes the call's `kernel.spectral_side` wall-time sample; both
+    /// entries count as that kernel.
+    fn record(&self) {
+        crate::kernel_record("spectral_side", self.timer);
+    }
+
+    /// Certified eigenpairs for the ascending eigenvalue indices
+    /// `targets`, all of which lie in `[blo, bhi]`: values ascending
+    /// and eigenvectors of `A`, one column each. `None` when some pair
+    /// fails its residual certificate `‖Ts − λs‖ ≤ cert_tol`.
+    fn certify_range(
+        &self,
+        targets: Range<usize>,
+        blo: f64,
+        bhi: f64,
+        cert_tol: f64,
+    ) -> Option<(Vec<f64>, Mat)> {
+        let (d, e, scale) = (&self.d, &self.e, self.scale);
+        let n = d.len();
+        let count = targets.len();
+        // Per eigenvalue: a loose bisection bracket, then inverse
+        // iteration with cluster-windowed re-orthogonalization, then
+        // the Rayleigh quotient as the returned value. Residuals are
+        // certified on T — `Q` is orthogonal to machine precision, so
+        // `‖Av − λv‖ = ‖Ts − λs‖`.
+        let bis_tol = BISECT_REL_TOL * scale;
+        let window = ORTHO_REL_WINDOW * scale;
+        // Coincident shifts would make the factorization of T − λI
+        // identical for every member of a cluster; a one-ulp-scale
+        // separation (LAPACK dstein's trick) keeps them
+        // distinguishable.
+        let sep = 2.0 * f64::EPSILON * scale;
+        let mut values = Vec::with_capacity(count);
+        let mut shifts: Vec<f64> = Vec::with_capacity(count);
+        let mut basis: Vec<Vec<f64>> = Vec::with_capacity(count);
+        let mut win_start = 0usize;
+        let mut last_shift = f64::NEG_INFINITY;
+        // The loose bisections are independent per index, so they run
+        // in lane-batched blocks (independent pivot recurrences
+        // pipeline where one division chain would stall) and fan out to
+        // the pool in disjoint chunks; each estimate is a pure function
+        // of (d, e, index), so the result is bitwise identical at any
+        // worker count and any batching. Inverse iteration below stays
+        // sequential (the Gram–Schmidt basis is order-dependent).
+        let t0 = targets.start;
+        let e2: Vec<f64> = e.iter().map(|&x| x * x).collect();
+        let mut loose = vec![0.0f64; count];
+        // ~40·n flops of Sturm work per eigenvalue estimate.
+        if gfp_parallel::should_parallelize(count * n * 40, 64 * 64 * 16, 32 * 32 * 16) {
+            let mut chunks: Vec<&mut [f64]> = Vec::new();
+            let mut rest = loose.as_mut_slice();
+            while rest.len() > BISECT_LANES {
+                let (head, tail) = rest.split_at_mut(BISECT_LANES);
+                chunks.push(head);
+                rest = tail;
+            }
+            chunks.push(rest);
+            gfp_parallel::parallel_for_each_chunk(chunks, |ci, chunk| {
+                bisect_block(d, &e2, t0 + ci * BISECT_LANES, blo, bhi, bis_tol, chunk);
+            });
+        } else {
+            for (ci, chunk) in loose.chunks_mut(BISECT_LANES).enumerate() {
+                bisect_block(d, &e2, t0 + ci * BISECT_LANES, blo, bhi, bis_tol, chunk);
+            }
+        }
+        for (idx, j) in targets.enumerate() {
+            let lam0 = loose[idx];
+            let shift = lam0.max(last_shift + sep);
+            while win_start < basis.len() && shift - shifts[win_start] > window {
+                win_start += 1;
+            }
+            let mut used_shift = shift;
+            let mut got = invit(d, e, shift, idx, &basis[win_start..], cert_tol);
+            if got.is_none() {
+                // The loose shift was not close enough (gap of the
+                // order of the bisection width): re-bisect this index
+                // to full precision and try once more before giving up.
+                let lam1 = bisect_eigenvalue(d, e, j, blo, bhi, 0.0);
+                used_shift = lam1.max(last_shift + sep);
+                got = invit(d, e, used_shift, idx, &basis[win_start..], cert_tol);
+            }
+            let (v, rq) = got?;
+            basis.push(v);
+            values.push(rq);
+            shifts.push(used_shift);
+            last_shift = used_shift;
+        }
+        // Rayleigh quotients can reorder within a cluster; restore the
+        // ascending contract (ties broken by discovery order, so the
+        // permutation — and everything downstream — is deterministic).
+        let mut order: Vec<usize> = (0..count).collect();
+        order.sort_by(|&x, &y| {
+            values[x]
+                .partial_cmp(&values[y])
+                .expect("certified eigenvalues are finite")
+                .then(x.cmp(&y))
+        });
+        let values: Vec<f64> = order.iter().map(|&k| values[k]).collect();
+        let mut s = Mat::zeros(n, count);
+        for (col, &k) in order.iter().enumerate() {
+            for i in 0..n {
+                s[(i, col)] = basis[k][i];
+            }
+        }
+        // Back-transform: V = Q·S by applying the stored reflectors —
+        // the step that replaces tred2's O(n³) explicit Q formation.
+        apply_reflectors(&self.q, &self.hh, &mut s);
+        Some((values, s))
+    }
+}
 
 /// Computes the complete set of eigenpairs beyond `±rel_cut·scale` on
 /// whichever side of the spectrum has fewer of them, where `scale` is
@@ -112,54 +280,18 @@ pub fn spectral_side(
     rel_cut: f64,
     max_frac: f64,
 ) -> Result<Option<SpectralSide>, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.nrows(),
-            cols: a.ncols(),
-        });
-    }
-    let n = a.nrows();
+    let n = square_dim(a)?;
     if n < MIN_N {
         return Ok(None);
     }
-    let timer = crate::kernel_timer();
-    let mut q = a.clone();
-    q.symmetrize_mut();
     // Same fault surface as `eigh`: this routine replaces it on the
     // projection hot path, so injected eigendecomposition faults must
     // reach it too (a stall here falls back to the dense route).
-    if let Some(fired) = gfp_fault::corrupt_first(gfp_fault::Site::Eigh, q.as_mut_slice()) {
-        match fired.kind {
-            gfp_fault::FaultKind::Stall | gfp_fault::FaultKind::BudgetExhaust => {
-                return Err(LinalgError::NoConvergence {
-                    method: "spectral_side",
-                    iterations: 0,
-                });
-            }
-            _ => {}
-        }
-    }
-    if !q.as_slice().iter().all(|v| v.is_finite()) {
-        return Err(LinalgError::NonFinite {
-            what: "spectral_side input",
-        });
-    }
-
-    let mut hh = vec![0.0; n];
-    let mut e = vec![0.0; n];
-    tred2_reduce(&mut q, &mut hh, &mut e);
-    let d: Vec<f64> = (0..n).map(|i| q[(i, i)]).collect();
-
-    // Gershgorin bound on the spectral radius of T (= that of A).
-    let mut scale = 0.0f64;
-    for i in 0..n {
-        let lo = if i > 0 { e[i].abs() } else { 0.0 };
-        let hi = if i + 1 < n { e[i + 1].abs() } else { 0.0 };
-        scale = scale.max(d[i].abs() + lo + hi);
-    }
+    let t = Tridiagonal::reduce(a, Site::Eigh, "spectral_side", "spectral_side input")?;
+    let scale = t.scale;
     if scale == 0.0 {
         // Zero matrix: nothing beyond any cut on either side.
-        crate::kernel_record("spectral_side", timer);
+        t.record();
         return Ok(Some(SpectralSide {
             kind: SideKind::Negative,
             values: Vec::new(),
@@ -171,145 +303,71 @@ pub fn spectral_side(
     let cut = rel_cut * scale;
 
     // Exact side counts: #{λ < −cut} and #{λ > cut}.
-    let n_neg = sturm_count(&d, &e, -cut);
-    let n_pos = n - sturm_count(&d, &e, cut);
+    let n_neg = sturm_count(&t.d, &t.e, -cut);
+    let n_pos = n - sturm_count(&t.d, &t.e, cut);
     let (kind, count, other_count) = if n_neg <= n_pos {
         (SideKind::Negative, n_neg, n_pos)
     } else {
         (SideKind::Positive, n_pos, n_neg)
     };
     if count as f64 > max_frac * n as f64 {
-        crate::kernel_record("spectral_side", timer);
+        t.record();
         return Ok(None);
     }
-    if count == 0 {
-        crate::kernel_record("spectral_side", timer);
-        return Ok(Some(SpectralSide {
-            kind,
-            values: Vec::new(),
-            vectors: Mat::zeros(n, 0),
-            scale,
-            other_count,
-        }));
-    }
-
-    // Target indices in the ascending spectrum.
-    let targets: std::ops::Range<usize> = match kind {
-        SideKind::Negative => 0..count,
-        SideKind::Positive => n - count..n,
-    };
-    // Per eigenvalue: a loose bisection bracket, then inverse
-    // iteration with cluster-windowed re-orthogonalization, then the
-    // Rayleigh quotient as the returned value. Residuals are certified
-    // on T — `Q` is orthogonal to machine precision, so
-    // `‖Av − λv‖ = ‖Ts − λs‖`.
-    let cert_tol = rel_cut * scale;
-    let bis_tol = BISECT_REL_TOL * scale;
-    let window = ORTHO_REL_WINDOW * scale;
-    // Coincident shifts would make the factorization of T − λI
-    // identical for every member of a cluster; a one-ulp-scale
-    // separation (LAPACK dstein's trick) keeps them distinguishable.
-    let sep = 2.0 * f64::EPSILON * scale;
-    let mut values = Vec::with_capacity(count);
-    let mut shifts: Vec<f64> = Vec::with_capacity(count);
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(count);
-    let mut win_start = 0usize;
-    let mut last_shift = f64::NEG_INFINITY;
     // All of this side's eigenvalues lie between the Gershgorin bound
-    // and the cut, so the initial bracket is half the naive ±scale.
-    let (blo, bhi) = match kind {
-        SideKind::Negative => (-scale, -cut),
-        SideKind::Positive => (cut, scale),
+    // and the cut, so the bracket is half the naive ±scale.
+    let (targets, blo, bhi) = match kind {
+        SideKind::Negative => (0..count, -scale, -cut),
+        SideKind::Positive => (n - count..n, cut, scale),
     };
-    // The loose bisections are independent per index, so they run in
-    // lane-batched blocks (independent pivot recurrences pipeline
-    // where one division chain would stall) and fan out to the pool in
-    // disjoint chunks; each estimate is a pure function of
-    // (d, e, index), so the result is bitwise identical at any worker
-    // count and any batching. Inverse iteration below stays sequential
-    // (the Gram–Schmidt basis is order-dependent).
-    let t0 = targets.start;
-    let e2: Vec<f64> = e.iter().map(|&x| x * x).collect();
-    let mut loose = vec![0.0f64; count];
-    {
-        // ~40·n flops of Sturm work per eigenvalue estimate.
-        if gfp_parallel::should_parallelize(count * n * 40, 64 * 64 * 16, 32 * 32 * 16) {
-            let mut chunks: Vec<&mut [f64]> = Vec::new();
-            let mut rest = loose.as_mut_slice();
-            while rest.len() > BISECT_LANES {
-                let (head, tail) = rest.split_at_mut(BISECT_LANES);
-                chunks.push(head);
-                rest = tail;
-            }
-            chunks.push(rest);
-            gfp_parallel::parallel_for_each_chunk(chunks, |ci, chunk| {
-                bisect_block(&d, &e2, t0 + ci * BISECT_LANES, blo, bhi, bis_tol, chunk);
-            });
-        } else {
-            for (ci, chunk) in loose.chunks_mut(BISECT_LANES).enumerate() {
-                bisect_block(&d, &e2, t0 + ci * BISECT_LANES, blo, bhi, bis_tol, chunk);
-            }
-        }
-    }
-    for (idx, j) in targets.enumerate() {
-        let lam0 = loose[idx];
-        let shift = lam0.max(last_shift + sep);
-        while win_start < basis.len() && shift - shifts[win_start] > window {
-            win_start += 1;
-        }
-        let mut used_shift = shift;
-        let mut got = invit(&d, &e, shift, idx, &basis[win_start..], cert_tol);
-        if got.is_none() {
-            // The loose shift was not close enough (gap of the order
-            // of the bisection width): re-bisect this index to full
-            // precision and try once more before giving up.
-            let lam1 = bisect_eigenvalue(&d, &e, j, blo, bhi, 0.0);
-            used_shift = lam1.max(last_shift + sep);
-            got = invit(&d, &e, used_shift, idx, &basis[win_start..], cert_tol);
-        }
-        match got {
-            Some((v, rq)) => {
-                basis.push(v);
-                values.push(rq);
-                shifts.push(used_shift);
-                last_shift = used_shift;
-            }
-            None => {
-                crate::kernel_record("spectral_side", timer);
-                return Ok(None);
-            }
-        }
-    }
-    // Rayleigh quotients can reorder within a cluster; restore the
-    // ascending contract (ties broken by discovery order, so the
-    // permutation — and everything downstream — is deterministic).
-    let mut order: Vec<usize> = (0..count).collect();
-    order.sort_by(|&x, &y| {
-        values[x]
-            .partial_cmp(&values[y])
-            .expect("certified eigenvalues are finite")
-            .then(x.cmp(&y))
-    });
-    let values: Vec<f64> = order.iter().map(|&k| values[k]).collect();
-    let mut s = Mat::zeros(n, count);
-    for (col, &k) in order.iter().enumerate() {
-        for i in 0..n {
-            s[(i, col)] = basis[k][i];
-        }
-    }
-
-    // Back-transform: V = Q·S by applying the stored reflectors — the
-    // step that replaces tred2's O(n³) explicit Q formation.
-    apply_reflectors(&q, &hh, &mut s);
-
-    crate::kernel_record("spectral_side", timer);
-    Ok(Some(SpectralSide {
+    let got = t.certify_range(targets, blo, bhi, cut);
+    t.record();
+    Ok(got.map(|(values, vectors)| SpectralSide {
         kind,
         values,
-        vectors: s,
+        vectors,
         scale,
         other_count,
     }))
+}
+
+/// Computes the `k` largest eigenpairs of symmetric `a`, values
+/// ascending, with the certificates of [`spectral_side`]: every pair's
+/// tridiagonal residual is at most `rel_tol·scale`, where `scale` is a
+/// Gershgorin bound on the spectral radius.
+///
+/// Returns `Ok(None)` — *compute the dense decomposition instead* —
+/// when `k` is 0 or not below `n`, when `n` is below the partial
+/// solver's minimum size, when a pair fails its certificate, or unless
+/// one exact Sturm count shows that the `(k+1)`-th largest eigenvalue
+/// lies more than `ORTHO_REL_WINDOW·scale` (1e-2) below the `k`-th. That
+/// separation makes the returned block span the top-`k` invariant
+/// subspace: a copy of the `k`-th eigenvalue left out, or a neighbor
+/// close enough to mix into its vector, refuses the fast route.
+///
+/// # Errors
+///
+/// [`LinalgError::NotSquare`] for non-square input and
+/// [`LinalgError::NonFinite`] for NaN/Inf input; an injected
+/// `Site::TopPairs` stall surfaces as [`LinalgError::NoConvergence`].
+pub fn top_pairs(a: &Mat, k: usize, rel_tol: f64) -> Result<Option<Eigh>, LinalgError> {
+    let n = square_dim(a)?;
+    if k == 0 || k >= n || n < MIN_N {
+        return Ok(None);
+    }
+    let t = Tridiagonal::reduce(a, Site::TopPairs, "top_pairs", "top_pairs input")?;
+    let scale = t.scale;
+    // The zero matrix has no separated top: every eigenvalue is equal.
+    let got = if scale > 0.0 {
+        t.certify_range(n - k..n, -scale, scale, rel_tol * scale)
+    } else {
+        None
+    };
+    // Separation: exactly n − k eigenvalues lie below λ_k − window.
+    let window = ORTHO_REL_WINDOW * scale;
+    let got = got.filter(|(values, _)| sturm_count(&t.d, &t.e, values[0] - window) == n - k);
+    t.record();
+    Ok(got.map(|(values, vectors)| Eigh { values, vectors }))
 }
 
 /// Number of eigenvalues of the tridiagonal `(d, e)` strictly below
@@ -970,26 +1028,165 @@ mod tests {
         }
     }
 
+    /// `A = B diag(lam) Bᵀ` for the orthonormal eigenbasis `B` of a
+    /// seeded random matrix: a symmetric matrix with a chosen spectrum.
+    fn with_spectrum(seed: u64, lam: &[f64]) -> Mat {
+        let n = lam.len();
+        let basis = eigh(&random_sym(seed, n)).unwrap().vectors;
+        crate::spectral_accumulate(&basis, lam, 0..n, None)
+    }
+
+    #[test]
+    fn top_pairs_match_dense_largest() {
+        let n = 60;
+        let a = random_sym(7, n);
+        let dense = eigh(&a).unwrap();
+        let top = top_pairs(&a, 3, 1e-10).unwrap().expect("separated top-3");
+        let radius = dense.values[n - 1].abs().max(dense.values[0].abs());
+        assert_eq!(top.values.len(), 3);
+        assert_eq!(top.vectors.ncols(), 3);
+        for (got, want) in top.values.iter().zip(&dense.values[n - 3..]) {
+            assert!((got - want).abs() <= 1e-9 * radius, "got {got}, want {want}");
+        }
+        let ones = vec![1.0; n];
+        let p_part = crate::spectral_accumulate(&top.vectors, &ones, 0..3, None);
+        let p_dense = crate::spectral_accumulate(&dense.vectors, &ones, n - 3..n, None);
+        let diff = (&p_part - &p_dense).norm_max();
+        assert!(diff < 1e-7, "projector mismatch: {diff:.3e}");
+    }
+
+    #[test]
+    fn top_pairs_repeat_calls_are_bitwise() {
+        let a = random_sym(11, 80);
+        let p1 = top_pairs(&a, 2, 1e-11).unwrap().unwrap();
+        let p2 = top_pairs(&a, 2, 1e-11).unwrap().unwrap();
+        for (x, y) in p1.values.iter().zip(&p2.values) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert_eq!(p1.vectors.as_slice().len(), p2.vectors.as_slice().len());
+        for (x, y) in p1.vectors.as_slice().iter().zip(p2.vectors.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn top_pairs_residuals_hold_on_the_matrix() {
+        // The certificate is on T against a Gershgorin bound, which is
+        // at most 3× the spectral radius; checked here explicitly on A.
+        let n = 72;
+        let a = random_sym(5, n);
+        let rel_tol = 1e-11;
+        let top = top_pairs(&a, 2, rel_tol).unwrap().unwrap();
+        let dense = eigh(&a).unwrap();
+        let radius = dense.values[n - 1].abs().max(dense.values[0].abs());
+        for (j, &lam) in top.values.iter().enumerate() {
+            let v: Vec<f64> = (0..n).map(|i| top.vectors[(i, j)]).collect();
+            let av = a.matvec(&v);
+            let r = av.iter().zip(&v).map(|(x, y)| (x - lam * y).powi(2)).sum::<f64>().sqrt();
+            assert!(r <= 3.0 * rel_tol * radius * 1.01, "residual {r:.3e} for λ = {lam}");
+        }
+    }
+
+    #[test]
+    fn spectral_accumulate_accepts_partial_vectors() {
+        // The deflation consumers build W = I − VVᵀ straight from the
+        // partial vector block; make sure shapes line up. Rank-2 Gram
+        // matrix plus a small identity: spectrum {big, big, eps...}.
+        let n = 40;
+        let mut rng = Rng::seed_from_u64(2);
+        let mut x = Mat::zeros(n, 2);
+        for v in x.as_mut_slice().iter_mut() {
+            *v = rng.gen_f64();
+        }
+        let mut g = x.matmul(&x.transpose());
+        for i in 0..n {
+            g[(i, i)] += 1e-9;
+        }
+        let top = top_pairs(&g, 2, 1e-8).unwrap().unwrap();
+        let w =
+            crate::spectral_accumulate(&top.vectors, &[-1.0, -1.0], 0..2, Some(&Mat::identity(n)));
+        // W is the projector complement: trace = n − 2, idempotent.
+        assert!((w.trace() - (n - 2) as f64).abs() < 1e-6);
+        let diff = (&w.matmul(&w) - &w).norm_max();
+        assert!(diff < 1e-6, "W not idempotent: {diff}");
+    }
+
+    #[test]
+    fn top_pairs_refuse_a_tied_kth_eigenvalue() {
+        // λ₁ = λ₂ = λ₃ = 5 over a floor of 1: the top-2 subspace is not
+        // unique, so k = 2 must refuse; k = 3 is separated and accepted.
+        let n = 40;
+        let mut lam = vec![1.0; n];
+        lam[n - 3..].fill(5.0);
+        let a = with_spectrum(13, &lam);
+        assert!(top_pairs(&a, 2, 1e-11).unwrap().is_none());
+        let top = top_pairs(&a, 3, 1e-11).unwrap().expect("separated top-3");
+        for v in &top.values {
+            assert!((v - 5.0).abs() < 1e-9, "cluster eigenvalue {v}");
+        }
+        // A neighbor inside the cluster window (1e-3 below λ₂ against a
+        // window of 1e-2 of the scale) refuses too; the zero matrix and
+        // a flat spectrum have no separated top at all.
+        lam[n - 3] = 5.0 - 1e-3;
+        assert!(top_pairs(&with_spectrum(13, &lam), 2, 1e-11).unwrap().is_none());
+        assert!(top_pairs(&Mat::zeros(n, n), 2, 1e-11).unwrap().is_none());
+        let mut flat = Mat::identity(n);
+        flat.scale_mut(5.0);
+        assert!(top_pairs(&flat, 2, 1e-11).unwrap().is_none());
+    }
+
+    #[test]
+    fn top_pairs_out_of_range_k_takes_the_dense_route() {
+        let a = random_sym(29, 24);
+        for k in [0, 24, 25] {
+            assert!(top_pairs(&a, k, 1e-11).unwrap().is_none(), "k = {k}");
+        }
+        // Below the partial solver's minimum size, too.
+        assert!(top_pairs(&random_sym(29, MIN_N - 1), 2, 1e-11).unwrap().is_none());
+    }
+
+    #[test]
+    fn top_pairs_reject_nan_and_non_square_input() {
+        let mut a = random_sym(31, 24);
+        a[(3, 5)] = f64::NAN;
+        assert!(matches!(
+            top_pairs(&a, 2, 1e-11),
+            Err(LinalgError::NonFinite { .. })
+        ));
+        assert!(matches!(
+            top_pairs(&Mat::zeros(24, 23), 2, 1e-11),
+            Err(LinalgError::NotSquare { rows: 24, cols: 23 })
+        ));
+    }
+
     #[test]
     fn bitwise_deterministic_across_worker_counts() {
+        // k = 8 puts two groups of four eigenvectors through the
+        // reflector application, so top_pairs crosses its pool cutover.
         let m = random_sym(23, 160);
-        let mut runs: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
+        let mut runs: Vec<[Vec<f64>; 4]> = Vec::new();
         let prev = gfp_parallel::set_host_clamp(false);
         for workers in [1usize, 2, 8] {
             let pool = gfp_parallel::ThreadPool::new(workers);
-            let side = gfp_parallel::with_pool(&pool, || {
-                spectral_side(&m, 1e-9, 1.0).unwrap().unwrap()
-            });
-            runs.push((side.values.clone(), side.vectors.as_slice().to_vec()));
+            runs.push(gfp_parallel::with_pool(&pool, || {
+                let side = spectral_side(&m, 1e-9, 1.0).unwrap().unwrap();
+                let top = top_pairs(&m, 8, 1e-11).unwrap().unwrap();
+                [
+                    side.values,
+                    side.vectors.as_slice().to_vec(),
+                    top.values,
+                    top.vectors.as_slice().to_vec(),
+                ]
+            }));
         }
         gfp_parallel::set_host_clamp(prev);
-        for (vals, vecs) in &runs[1..] {
-            assert_eq!(vals.len(), runs[0].0.len());
-            for (a, b) in vals.iter().zip(runs[0].0.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "eigenvalue bits diverged");
-            }
-            for (a, b) in vecs.iter().zip(runs[0].1.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "eigenvector bits diverged");
+        let what = ["side values", "side vectors", "top values", "top vectors"];
+        for run in &runs[1..] {
+            for ((got, want), what) in run.iter().zip(&runs[0]).zip(what) {
+                assert_eq!(got.len(), want.len(), "{what}: length diverged");
+                for (a, b) in got.iter().zip(want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: bits diverged");
+                }
             }
         }
     }

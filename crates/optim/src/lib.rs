@@ -7,7 +7,6 @@
 //!
 //! * [`Lbfgs`] — limited-memory BFGS with a strong-Wolfe line search,
 //!   the workhorse.
-//! * [`Adam`] — a first-order fallback for very rugged landscapes.
 //! * [`check_gradient`] — finite-difference validation used throughout
 //!   the baseline tests.
 //!
@@ -30,12 +29,10 @@
 //! assert!((result.x[0] - 3.0).abs() < 1e-6);
 //! ```
 
-mod adam;
 mod gradcheck;
 mod lbfgs;
 mod objective;
 
-pub use adam::{Adam, AdamSettings};
 pub use gradcheck::{check_gradient, GradCheckReport};
 pub use lbfgs::{Lbfgs, LbfgsSettings, OptimizeResult, StopReason};
 pub use objective::Objective;

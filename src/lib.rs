@@ -9,7 +9,7 @@
 //! * [`conic`] — the first-party ADMM + barrier-IPM conic solver.
 //! * [`linalg`] — dense/sparse linear algebra (eigendecomposition,
 //!   factorizations, CG, `svec`).
-//! * [`optim`] — L-BFGS / Adam and gradient checking.
+//! * [`optim`] — L-BFGS and gradient checking.
 //! * [`netlist`] — circuit model, HPWL, bookshelf I/O, the synthetic
 //!   benchmark suite and SVG rendering.
 //! * [`baselines`] — AR, PP, QP, sequence-pair annealing and the

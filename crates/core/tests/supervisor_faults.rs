@@ -18,13 +18,17 @@ use std::sync::Mutex;
 
 use gfp_conic::ipm::BarrierSettings;
 use gfp_conic::AdmmSettings;
+use gfp_core::lifted::Lift;
+use gfp_core::subproblems::solve_subproblem2;
 use gfp_core::{
     Backend, FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SolveQuality,
     SolveSupervisor, SupervisorSettings,
 };
 use gfp_fault::{FaultKind, FaultPlan, Site};
+use gfp_linalg::{fastpath, Mat};
 use gfp_netlist::suite;
 use gfp_parallel::{with_pool, ThreadPool};
+use gfp_rand::Rng;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -269,6 +273,48 @@ fn top_pairs_breakdown_falls_back_to_dense_eigh_without_recovery() {
     assert_eq!(
         faulted.quality, clean.quality,
         "quality verdict changed under an absorbed top_pairs fault"
+    );
+}
+
+/// An injected `PerturbResidual` at `Site::TopPairs` fails the
+/// certificate, so sub-problem 2 returns the dense route's bits on a
+/// lifted Z (nn = 32) whose clean call takes the fast path.
+#[test]
+fn top_pairs_perturbed_residual_takes_the_dense_route() {
+    let _g = lock();
+    let n = 30;
+    let lift = Lift::new(n);
+    let mut rng = Rng::seed_from_u64(0x5eed_5050);
+    let pos: Vec<(f64, f64)> = (0..n)
+        .map(|_| (20.0 * rng.gen_f64(), 20.0 * rng.gen_f64()))
+        .collect();
+    let zm = lift.z_matrix(&lift.embed_positions(&pos, 0.8));
+    let bits = |(w, gap): (Mat, f64)| -> Vec<u64> {
+        let mut out: Vec<u64> = w.as_slice().iter().map(|v| v.to_bits()).collect();
+        out.push(gap.to_bits());
+        out
+    };
+
+    gfp_fault::disarm();
+    let prev = fastpath::set_enabled(false);
+    let dense = bits(solve_subproblem2(&zm, n).unwrap());
+    fastpath::set_enabled(true);
+    let fast = bits(solve_subproblem2(&zm, n).unwrap());
+    gfp_fault::arm(FaultPlan::single(
+        Site::TopPairs,
+        FaultKind::PerturbResidual,
+        0,
+    ));
+    let perturbed = bits(solve_subproblem2(&zm, n).unwrap());
+    let fired = gfp_fault::injected_total();
+    gfp_fault::disarm();
+    fastpath::set_enabled(prev);
+
+    assert_eq!(fired, 1, "the perturbation must fire on the one call");
+    assert_ne!(fast, dense, "the clean call must take the fast path");
+    assert_eq!(
+        perturbed, dense,
+        "a perturbed residual must send sub-problem 2 down the dense route"
     );
 }
 

@@ -59,7 +59,10 @@ pub enum Site {
     CsrMatvec,
     /// Top-`k` partial eigensolver entry (`gfp-linalg`, `top_pairs` in
     /// `tridiag.rs`), polled once per call; sub-problem 2's fast path
-    /// is its only caller.
+    /// is its only caller. `Stall`/`BudgetExhaust` → a convergence
+    /// error, `Nan`/`Inf` → a non-finite input error, `PerturbResidual`
+    /// → the residual certificate fails (`Ok(None)`); each sends
+    /// sub-problem 2 down its dense route.
     TopPairs,
     /// Durable snapshot write (`gfp-store`, `snapshot.rs`). Kinds map
     /// to storage failures: `Nan`/`Inf`/`Stall` → the write fails with

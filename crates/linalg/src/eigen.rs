@@ -87,7 +87,9 @@ fn ql_input(a: &Mat) -> Result<Option<Mat>, LinalgError> {
     if square_dim(a)? == 0 {
         return Ok(None);
     }
-    symmetric_copy(a, gfp_fault::Site::Eigh, "tqli", "eigh input").map(Some)
+    // The QL iteration certifies no residual, so an injected
+    // `PerturbResidual` has nothing to act on here.
+    symmetric_copy(a, gfp_fault::Site::Eigh, "tqli", "eigh input").map(|(z, _)| Some(z))
 }
 
 /// The dimension of square `a`; [`LinalgError::NotSquare`] otherwise.
@@ -106,27 +108,30 @@ pub(crate) fn square_dim(a: &Mat) -> Result<usize, LinalgError> {
 /// nearly-symmetric input), behind the fault hook at `site` and the
 /// NaN/Inf guard. An injected stall or exhausted budget surfaces as
 /// `NoConvergence { method }`; injected NaN/Inf, like non-finite input,
-/// as `NonFinite { what }`.
+/// as `NonFinite { what }`. The flag says an injected `PerturbResidual`
+/// fired, which only a caller with a residual certificate can act on.
 pub(crate) fn symmetric_copy(
     a: &Mat,
     site: gfp_fault::Site,
     method: &'static str,
     what: &'static str,
-) -> Result<Mat, LinalgError> {
+) -> Result<(Mat, bool), LinalgError> {
     let mut z = a.clone();
     z.symmetrize_mut();
     // Fault-injection hook (no-op unless the `fault-inject` feature is
     // on): corrupts the working copy or simulates a stall, always
     // upstream of the guard below so it is what gets exercised.
+    let mut residual_perturbed = false;
     if let Some(fired) = gfp_fault::corrupt_first(site, z.as_mut_slice()) {
-        if matches!(
-            fired.kind,
-            gfp_fault::FaultKind::Stall | gfp_fault::FaultKind::BudgetExhaust
-        ) {
-            return Err(LinalgError::NoConvergence {
-                method,
-                iterations: 0,
-            });
+        match fired.kind {
+            gfp_fault::FaultKind::Stall | gfp_fault::FaultKind::BudgetExhaust => {
+                return Err(LinalgError::NoConvergence {
+                    method,
+                    iterations: 0,
+                });
+            }
+            gfp_fault::FaultKind::PerturbResidual => residual_perturbed = true,
+            _ => {}
         }
     }
     // Breakdown guard: NaN/Inf input would send the QL iteration or a
@@ -135,7 +140,7 @@ pub(crate) fn symmetric_copy(
     if !z.as_slice().iter().all(|v| v.is_finite()) {
         return Err(LinalgError::NonFinite { what });
     }
-    Ok(z)
+    Ok((z, residual_perturbed))
 }
 
 /// Flop floor (`n²·p/2` weighted dot products) below which

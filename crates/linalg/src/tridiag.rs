@@ -110,6 +110,10 @@ struct Tridiagonal {
     e: Vec<f64>,
     /// Gershgorin bound on the spectral radius.
     scale: f64,
+    /// An injected `PerturbResidual` fired at the entry's fault site.
+    /// [`top_pairs`] then fails its certificate; [`spectral_side`],
+    /// which shares `eigh`'s site, ignores it as `eigh` does.
+    residual_perturbed: bool,
     /// Started before the reduction; closed by [`Self::record`].
     timer: Option<std::time::Instant>,
 }
@@ -125,7 +129,7 @@ impl Tridiagonal {
         what: &'static str,
     ) -> Result<Self, LinalgError> {
         let timer = crate::kernel_timer();
-        let mut q = symmetric_copy(a, site, method, what)?;
+        let (mut q, residual_perturbed) = symmetric_copy(a, site, method, what)?;
         let n = q.nrows();
         let mut hh = vec![0.0; n];
         let mut e = vec![0.0; n];
@@ -143,6 +147,7 @@ impl Tridiagonal {
             d,
             e,
             scale,
+            residual_perturbed,
             timer,
         })
     }
@@ -155,8 +160,9 @@ impl Tridiagonal {
 
     /// Certified eigenpairs for the ascending eigenvalue indices
     /// `targets`, all of which lie in `[blo, bhi]`: values ascending
-    /// and eigenvectors of `A`, one column each. `None` when some pair
-    /// fails its residual certificate `‖Ts − λs‖ ≤ cert_tol`.
+    /// and eigenvectors of `A`, one column each (none for an empty
+    /// range). `None` when some pair fails its residual certificate
+    /// `‖Ts − λs‖ ≤ cert_tol`.
     fn certify_range(
         &self,
         targets: Range<usize>,
@@ -167,6 +173,11 @@ impl Tridiagonal {
         let (d, e, scale) = (&self.d, &self.e, self.scale);
         let n = d.len();
         let count = targets.len();
+        if count == 0 {
+            // An empty side of `spectral_side`: no bisection setup and
+            // no pool cutover decision.
+            return Some((Vec::new(), Mat::zeros(n, 0)));
+        }
         // Per eigenvalue: a loose bisection bracket, then inverse
         // iteration with cluster-windowed re-orthogonalization, then
         // the Rayleigh quotient as the returned value. Residuals are
@@ -349,7 +360,8 @@ pub fn spectral_side(
 ///
 /// [`LinalgError::NotSquare`] for non-square input and
 /// [`LinalgError::NonFinite`] for NaN/Inf input; an injected
-/// `Site::TopPairs` stall surfaces as [`LinalgError::NoConvergence`].
+/// `Site::TopPairs` stall surfaces as [`LinalgError::NoConvergence`],
+/// and an injected `PerturbResidual` there returns `Ok(None)`.
 pub fn top_pairs(a: &Mat, k: usize, rel_tol: f64) -> Result<Option<Eigh>, LinalgError> {
     let n = square_dim(a)?;
     if k == 0 || k >= n || n < MIN_N {
@@ -358,7 +370,8 @@ pub fn top_pairs(a: &Mat, k: usize, rel_tol: f64) -> Result<Option<Eigh>, Linalg
     let t = Tridiagonal::reduce(a, Site::TopPairs, "top_pairs", "top_pairs input")?;
     let scale = t.scale;
     // The zero matrix has no separated top: every eigenvalue is equal.
-    let got = if scale > 0.0 {
+    // An injected residual perturbation fails the certificate.
+    let got = if scale > 0.0 && !t.residual_perturbed {
         t.certify_range(n - k..n, -scale, scale, rel_tol * scale)
     } else {
         None

@@ -2,61 +2,25 @@
 //!
 //! Minimizes `½xᵀCx + xᵀd` per axis, where `C` is the clique-model
 //! Laplacian augmented with pad degrees and `d` carries the fixed-pad
-//! attraction (the standard formulation of \[11\], \[13\]). With pads the
-//! system is strictly positive definite and solved by conjugate
-//! gradients; **without pads it is singular and every module collapses
-//! onto one point** — the trivial global optimum the paper criticizes
-//! (Table I), which [`QuadraticPlacer::place`] reproduces faithfully.
+//! attraction (the standard formulation of \[11\], \[13\]). Every
+//! connected component that a pad or a fixed module anchors has a
+//! strictly positive-definite block, solved by a Cholesky
+//! factorization; **a component with no anchor is singular, with a zero
+//! right-hand side, and every module in it collapses onto the origin**
+//! — the trivial global optimum the paper criticizes (Table I), which
+//! [`QuadraticPlacer::place`] reproduces faithfully.
 
 use gfp_core::GlobalFloorplanProblem;
-use gfp_linalg::cg::{cg_best_effort, LinOp};
-use gfp_linalg::Mat;
+use gfp_linalg::{Cholesky, Mat};
 
 use crate::{BaselineError, Placement};
 
-/// Settings for the quadratic placer.
-#[derive(Debug, Clone)]
-pub struct QpSettings {
-    /// CG tolerance.
-    pub tol: f64,
-    /// CG iteration cap.
-    pub max_iter: usize,
-}
-
-impl Default for QpSettings {
-    fn default() -> Self {
-        QpSettings {
-            tol: 1e-9,
-            max_iter: 2000,
-        }
-    }
-}
-
-/// The quadratic placement baseline.
+/// The quadratic placement baseline. It has no settings: every
+/// anchored block is solved exactly.
 #[derive(Debug, Clone, Default)]
-pub struct QuadraticPlacer {
-    settings: QpSettings,
-}
-
-struct LaplacianOp<'a> {
-    c: &'a Mat,
-}
-impl LinOp for LaplacianOp<'_> {
-    fn dim(&self) -> usize {
-        self.c.nrows()
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let r = self.c.matvec(x);
-        y.copy_from_slice(&r);
-    }
-}
+pub struct QuadraticPlacer {}
 
 impl QuadraticPlacer {
-    /// Creates a placer with the given settings.
-    pub fn new(settings: QpSettings) -> Self {
-        QuadraticPlacer { settings }
-    }
-
     /// Solves the quadratic placement.
     ///
     /// Fixed (PPM) modules are treated like pads: pinned, moved into
@@ -64,7 +28,9 @@ impl QuadraticPlacer {
     ///
     /// # Errors
     ///
-    /// Returns [`BaselineError::InvalidProblem`] for empty problems.
+    /// Returns [`BaselineError::InvalidProblem`] for empty problems,
+    /// and [`BaselineError::Linalg`] when an anchored block does not
+    /// factor (a negative connection weight).
     pub fn place(&self, problem: &GlobalFloorplanProblem) -> Result<Placement, BaselineError> {
         let n = problem.n;
         if n == 0 {
@@ -96,6 +62,7 @@ impl QuadraticPlacer {
         let mut c = Mat::zeros(m, m);
         let mut bx = vec![0.0; m];
         let mut by = vec![0.0; m];
+        let mut anchored = vec![false; m];
         for (k, &i) in movable.iter().enumerate() {
             let mut diag = 0.0;
             for j in 0..n {
@@ -110,6 +77,7 @@ impl QuadraticPlacer {
                         let (fx, fy) = problem.fixed[j].expect("non-movable is fixed");
                         bx[k] += w * fx;
                         by[k] += w * fy;
+                        anchored[k] = true;
                     }
                 }
             }
@@ -124,19 +92,38 @@ impl QuadraticPlacer {
                 diag += w;
                 bx[k] += w * px;
                 by[k] += w * py;
+                anchored[k] = true;
             }
             c[(k, k)] += diag;
         }
 
-        let op = LaplacianOp { c: &c };
-        let diag: Vec<f64> = (0..m).map(|k| c[(k, k)].max(1e-12)).collect();
-        let x0 = vec![0.0; m];
-        let rx = cg_best_effort(&op, &bx, &x0, self.settings.tol, self.settings.max_iter, Some(&diag));
-        let ry = cg_best_effort(&op, &by, &x0, self.settings.tol, self.settings.max_iter, Some(&diag));
+        // Anchoring spreads through connections. A component with no
+        // anchor is a singular Laplacian block with a zero rhs: its
+        // modules stay at the origin, one point. The anchored blocks
+        // are positive definite.
+        let mut stack: Vec<usize> = (0..m).filter(|&k| anchored[k]).collect();
+        while let Some(k) = stack.pop() {
+            for j in 0..m {
+                if !anchored[j] && c[(k, j)] != 0.0 {
+                    anchored[j] = true;
+                    stack.push(j);
+                }
+            }
+        }
+        let solved: Vec<usize> = (0..m).filter(|&k| anchored[k]).collect();
+        let mut sub = Mat::zeros(solved.len(), solved.len());
+        for (r, &k) in solved.iter().enumerate() {
+            for (col, &j) in solved.iter().enumerate() {
+                sub[(r, col)] = c[(k, j)];
+            }
+        }
+        let chol = Cholesky::new(&sub)?;
+        let rhs = |b: &[f64]| solved.iter().map(|&k| b[k]).collect::<Vec<_>>();
+        let (rx, ry) = (chol.solve(&rhs(&bx)), chol.solve(&rhs(&by)));
 
         let mut positions = vec![(0.0, 0.0); n];
-        for (k, &i) in movable.iter().enumerate() {
-            positions[i] = (rx.x[k], ry.x[k]);
+        for (r, &k) in solved.iter().enumerate() {
+            positions[movable[k]] = (rx[r], ry[r]);
         }
         for i in 0..n {
             if let Some(p) = problem.fixed[i] {

@@ -1,16 +1,18 @@
 //! SCS-style ADMM solver for cone programs.
 //!
-//! Splits `min cᵀx  s.t.  Ax + s = b, s ∈ K` into a linear solve
-//! (conjugate gradients on the regularized normal equations), a cone
-//! projection and a dual ascent step. Over-relaxation, adaptive penalty
-//! and Ruiz equilibration are applied; the normal operator is
-//! independent of the penalty, so adapting `ρ` is free.
+//! Splits `min cᵀx  s.t.  Ax + s = b, s ∈ K` into a linear solve, a
+//! cone projection and a dual ascent step. Over-relaxation, adaptive
+//! penalty and Ruiz equilibration are applied. The linear solve's
+//! matrix `εI + ĀᵀĀ` (`Ā` the equilibrated `A`) is independent of the
+//! penalty, so adapting `ρ` is free: it is factored once per
+//! constraint matrix ([`SparseCholesky`]), and each iteration's
+//! x-update is one `Aᵀ` product and two triangular sweeps.
 
 use std::time::Instant;
 
-use gfp_linalg::cg::{cg_best_effort_with, CgWorkspace, LinOp};
 use gfp_linalg::sparse::CsrMat;
 use gfp_linalg::vec_ops::{dot, norm2};
+use gfp_linalg::SparseCholesky;
 use gfp_telemetry as telemetry;
 
 use crate::cone::project_product;
@@ -19,9 +21,8 @@ use crate::solution::{SolveInfo, SolveStatus, Solution};
 use crate::{ConeProgram, ConicError};
 
 // Cached metric handles (DESIGN §13): `solve` runs per outer
-// iteration and the CG histogram site sits in the ADMM hot loop, so
-// each site resolves its registry entry once instead of probing the
-// name map on every call.
+// iteration, so each site resolves its registry entry once instead of
+// probing the name map on every call.
 static ADMM_CACHE_HIT: telemetry::CounterHandle = telemetry::CounterHandle::new("admm.cache_hit");
 static ADMM_CACHE_BUILD: telemetry::CounterHandle =
     telemetry::CounterHandle::new("admm.cache_build");
@@ -32,9 +33,6 @@ static ADMM_ITERATIONS: telemetry::CounterHandle =
 /// ADMM iterations consumed per solve (distribution across sp1 calls).
 static ADMM_SOLVE_ITERATIONS: telemetry::HistogramHandle =
     telemetry::HistogramHandle::new("admm.solve_iterations");
-/// Inner CG iterations per x-update.
-static ADMM_CG_ITERATIONS: telemetry::HistogramHandle =
-    telemetry::HistogramHandle::new("admm.cg_iterations");
 
 /// Tuning parameters of the [`AdmmSolver`].
 #[derive(Debug, Clone)]
@@ -55,12 +53,12 @@ pub struct AdmmSettings {
     /// (SCS-style scalar scaling); strongly recommended for the badly
     /// scaled floorplanning SDPs.
     pub normalize: bool,
-    /// Proximal regularization added to the normal operator.
+    /// Proximal regularization `ε` of the x-update matrix `εI + ĀᵀĀ`;
+    /// must be positive when some column of `A` is empty, or the
+    /// factorization fails.
     pub prox_eps: f64,
     /// Iteration cadence of the (slightly costly) convergence check.
     pub check_interval: usize,
-    /// Cap on inner CG iterations per x-update.
-    pub cg_max_iter: usize,
 }
 
 impl Default for AdmmSettings {
@@ -75,7 +73,6 @@ impl Default for AdmmSettings {
             normalize: true,
             prox_eps: 1e-8,
             check_interval: 25,
-            cg_max_iter: 200,
         }
     }
 }
@@ -100,21 +97,20 @@ pub struct IterationStats {
 /// `α·W`) and occasionally `b` change between calls.
 ///
 /// Holds the equilibrated constraint matrix, the accumulated Ruiz
-/// scaling, the Jacobi preconditioner of the CG normal operator (all
-/// pure functions of `A` + cones, validated by exact comparison
-/// against the caller's `A`), the CG scratch workspace, and the final
-/// primal/dual iterate of the previous solve for warm starting.
+/// scaling and the sparse Cholesky factor of the x-update matrix
+/// `εI + ĀᵀĀ` (all pure functions of `A` + cones, validated by exact
+/// comparison against the caller's `A`), and the final primal/dual
+/// iterate of the previous solve for warm starting.
 ///
 /// Pass a `Default`-constructed value to
 /// [`AdmmSolver::solve_with_reuse`]; the first call fills it, later
-/// calls skip the Ruiz loop and start from the carried duals. A solve
-/// that diverges clears the carried iterate so a poisoned state is
-/// never re-entered.
+/// calls skip the Ruiz loop and the factorization and start from the
+/// carried duals. A solve that diverges clears the carried iterate so
+/// a poisoned state is never re-entered.
 #[derive(Debug, Clone, Default)]
 pub struct AdmmReuse {
     cache: Option<AdmmCache>,
     warm: Option<AdmmWarmState>,
-    cg_ws: Option<CgWorkspace>,
 }
 
 impl AdmmReuse {
@@ -135,11 +131,11 @@ impl AdmmReuse {
     }
 
     /// Extracts a plain-data image of the reuse state for the
-    /// checkpoint codec. The CG workspace is excluded: it is fully
-    /// overwritten on every call, so omitting it is bitwise-neutral —
-    /// while the constraint cache must be captured (a resumed solve
-    /// that rebuilt the cache would also drop the warm iterate and
-    /// diverge from the uninterrupted trajectory).
+    /// checkpoint codec. The constraint cache must be captured (a
+    /// resumed solve that rebuilt the cache would also drop the warm
+    /// iterate and diverge from the uninterrupted trajectory); its
+    /// factor is not, because it is a deterministic function of the
+    /// captured `a_scaled` and `prox_eps`.
     pub fn snapshot(&self) -> AdmmReuseSnapshot {
         AdmmReuseSnapshot {
             cache: self.cache.as_ref().map(|c| AdmmCacheSnapshot {
@@ -147,7 +143,6 @@ impl AdmmReuse {
                 a_scaled: c.a_scaled.clone(),
                 row_scale: c.eq.d.clone(),
                 col_scale: c.eq.e.clone(),
-                diag: c.diag.clone(),
                 scaling_iters: c.scaling_iters,
                 prox_eps: c.prox_eps,
             }),
@@ -160,21 +155,30 @@ impl AdmmReuse {
     }
 
     /// Rebuilds reuse state from a snapshot (inverse of
-    /// [`snapshot`](Self::snapshot)). The CG workspace starts empty
-    /// and is re-allocated on first use.
-    pub fn from_snapshot(snap: AdmmReuseSnapshot) -> Self {
-        AdmmReuse {
-            cache: snap.cache.map(|c| AdmmCache {
+    /// [`snapshot`](Self::snapshot)), refactoring `εI + ĀᵀĀ` from the
+    /// captured matrix. The factor is bitwise the one the snapshotted
+    /// solve used.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConicError::Linalg`] when the captured matrix does not
+    /// factor (a snapshot no solve could have written).
+    pub fn from_snapshot(snap: AdmmReuseSnapshot) -> Result<Self, ConicError> {
+        let cache = match snap.cache {
+            Some(c) => Some(AdmmCache {
+                factor: SparseCholesky::new(&c.a_scaled.normal_matrix(c.prox_eps))?,
                 a_orig: c.a_orig,
                 a_scaled: c.a_scaled,
                 eq: Equilibration { d: c.row_scale, e: c.col_scale },
-                diag: c.diag,
                 scaling_iters: c.scaling_iters,
                 prox_eps: c.prox_eps,
             }),
+            None => None,
+        };
+        Ok(AdmmReuse {
+            cache,
             warm: snap.warm.map(|w| AdmmWarmState { y: w.y, s: w.s, rho: w.rho }),
-            cg_ws: None,
-        }
+        })
     }
 }
 
@@ -200,11 +204,9 @@ pub struct AdmmCacheSnapshot {
     pub row_scale: Vec<f64>,
     /// Ruiz column scaling `E` (diagonal).
     pub col_scale: Vec<f64>,
-    /// Jacobi preconditioner `diag(εI + AᵀA)` of the scaled matrix.
-    pub diag: Vec<f64>,
     /// Ruiz rounds the cache was built with.
     pub scaling_iters: usize,
-    /// Proximal ε baked into `diag`.
+    /// Proximal ε of the factored matrix `εI + ĀᵀĀ`.
     pub prox_eps: f64,
 }
 
@@ -229,11 +231,11 @@ struct AdmmCache {
     a_scaled: CsrMat,
     /// Accumulated Ruiz scaling.
     eq: Equilibration,
-    /// `diag(εI + AᵀA)` of the scaled matrix (Jacobi preconditioner).
-    diag: Vec<f64>,
+    /// Sparse Cholesky factor of `εI + ĀᵀĀ`.
+    factor: SparseCholesky,
     /// Number of Ruiz rounds the cache was built with.
     scaling_iters: usize,
-    /// Proximal ε baked into `diag`.
+    /// Proximal ε of the factored matrix.
     prox_eps: f64,
 }
 
@@ -244,27 +246,6 @@ struct AdmmWarmState {
     y: Vec<f64>,
     s: Vec<f64>,
     rho: f64,
-}
-
-/// The normal operator `M = εI + AᵀA` applied matrix-free.
-struct NormalOp<'a> {
-    a: &'a CsrMat,
-    eps: f64,
-    scratch: std::cell::RefCell<Vec<f64>>,
-}
-
-impl LinOp for NormalOp<'_> {
-    fn dim(&self) -> usize {
-        self.a.ncols()
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let mut ax = self.scratch.borrow_mut();
-        self.a.matvec_into(x, &mut ax);
-        self.a.matvec_transpose_into(&ax, y);
-        for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-            *yi += self.eps * xi;
-        }
-    }
 }
 
 /// Operator-splitting conic solver.
@@ -354,69 +335,60 @@ impl AdmmSolver {
         }
 
         // --- scaled copies -------------------------------------------------
-        // The equilibration (and the preconditioner below) are pure
-        // functions of `A` and the cone list: the Ruiz loop reads only
-        // A's row/column norms, and `b`/`c` are scaled once at the end
-        // by the accumulated diagonals. A reusing caller with an
-        // unchanged `A` therefore skips straight to that final
-        // elementwise scaling — bitwise identical to recomputing.
+        // The equilibration and the factor below are pure functions of
+        // `A` and the cone list: the Ruiz loop reads only A's
+        // row/column norms, and `b`/`c` are scaled once at the end by
+        // the accumulated diagonals. A reusing caller with an unchanged
+        // `A` therefore skips straight to that final elementwise
+        // scaling — bitwise identical to recomputing. The cache leaves
+        // `reuse` for the solve and goes back at its end.
         let mut b = program.b.clone();
         let mut c = program.c.clone();
-        let cache_valid = reuse
-            .as_deref()
-            .and_then(|r| r.cache.as_ref())
-            .is_some_and(|cache| {
+        let cached = reuse
+            .as_deref_mut()
+            .and_then(|r| r.cache.take())
+            .filter(|cache| {
                 cache.scaling_iters == st.scaling_iters
                     && cache.prox_eps == st.prox_eps
                     && cache.a_orig == program.a
             });
-        let (a, eq, diag) = if cache_valid {
-            let cache = reuse
-                .as_deref_mut()
-                .and_then(|r| r.cache.as_mut())
-                .expect("cache checked above");
-            for (bi, &di) in b.iter_mut().zip(cache.eq.d.iter()) {
-                *bi *= di;
-            }
-            for (ci, &ei) in c.iter_mut().zip(cache.eq.e.iter()) {
-                *ci *= ei;
-            }
-            ADMM_CACHE_HIT.add(1);
-            (
-                cache.a_scaled.clone(),
-                cache.eq.clone(),
-                cache.diag.clone(),
-            )
-        } else {
-            let mut a = program.a.clone();
-            let eq = if st.scaling_iters > 0 {
-                equilibrate(&mut a, &mut b, &mut c, &program.cones, st.scaling_iters)
-            } else {
-                Equilibration::identity(m, d)
-            };
-            // Jacobi preconditioner: diag(εI + AᵀA).
-            let mut diag = vec![st.prox_eps; d];
-            for i in 0..m {
-                for (j, v) in a.row_iter(i) {
-                    diag[j] += v * v;
+        let cache_valid = cached.is_some();
+        let cache = match cached {
+            Some(cache) => {
+                for (bi, &di) in b.iter_mut().zip(cache.eq.d.iter()) {
+                    *bi *= di;
                 }
+                for (ci, &ei) in c.iter_mut().zip(cache.eq.e.iter()) {
+                    *ci *= ei;
+                }
+                ADMM_CACHE_HIT.add(1);
+                cache
             }
-            if let Some(r) = reuse.as_deref_mut() {
-                // A changed (or first call): the carried iterate
-                // belongs to a different geometry, drop it.
-                r.warm = None;
-                r.cache = Some(AdmmCache {
+            None => {
+                let mut a = program.a.clone();
+                let eq = if st.scaling_iters > 0 {
+                    equilibrate(&mut a, &mut b, &mut c, &program.cones, st.scaling_iters)
+                } else {
+                    Equilibration::identity(m, d)
+                };
+                let factor = SparseCholesky::new(&a.normal_matrix(st.prox_eps))?;
+                if let Some(r) = reuse.as_deref_mut() {
+                    // A changed (or first call): the carried iterate
+                    // belongs to a different geometry, drop it.
+                    r.warm = None;
+                    ADMM_CACHE_BUILD.add(1);
+                }
+                AdmmCache {
                     a_orig: program.a.clone(),
-                    a_scaled: a.clone(),
-                    eq: eq.clone(),
-                    diag: diag.clone(),
+                    a_scaled: a,
+                    eq,
+                    factor,
                     scaling_iters: st.scaling_iters,
                     prox_eps: st.prox_eps,
-                });
-                ADMM_CACHE_BUILD.add(1);
+                }
             }
-            (a, eq, diag)
         };
+        let (a, eq, factor) = (&cache.a_scaled, &cache.eq, &cache.factor);
         // Scalar normalization: b <- sb*b, c <- sc*c with unit norms.
         let (sb, sc) = if st.normalize {
             let sb = 1.0 / norm2(&b).max(1e-12);
@@ -430,12 +402,6 @@ impl AdmmSolver {
             (sb, sc)
         } else {
             (1.0, 1.0)
-        };
-
-        let op = NormalOp {
-            a: &a,
-            eps: st.prox_eps,
-            scratch: std::cell::RefCell::new(vec![0.0; m]),
         };
 
         // --- state ---------------------------------------------------------
@@ -486,20 +452,13 @@ impl AdmmSolver {
 
         let mut trace = Vec::new();
         // Per-iteration scratch, allocated once: the hot loop below is
-        // allocation-free (aside from CG's first-call workspace fill).
+        // allocation-free.
         let mut ax = vec![0.0; m];
         let mut rhs = vec![0.0; d];
         let mut tmp = vec![0.0; m];
         let mut ax_or = vec![0.0; m];
         let mut pr = vec![0.0; m];
         let mut aty = vec![0.0; d];
-        // CG scratch survives across reusing solves (it is fully
-        // overwritten on every call, so carrying it is free and
-        // bitwise neutral).
-        let mut cg_ws = reuse
-            .as_deref_mut()
-            .and_then(|r| r.cg_ws.take())
-            .unwrap_or_else(|| CgWorkspace::new(d));
         let mut status = SolveStatus::MaxIterations;
         let mut iterations_used = st.max_iter;
         let mut pri_rel = f64::INFINITY;
@@ -528,7 +487,8 @@ impl AdmmSolver {
                     _ => {}
                 }
             }
-            // ---- x-update: (εI + AᵀA) x = Aᵀ(b − s − y/ρ) − c/ρ + ε x_prev
+            // ---- x-update: (εI + AᵀA) x = Aᵀ(b − s − y/ρ) − c/ρ + ε x_prev,
+            // solved exactly by the cached factor
             for i in 0..m {
                 tmp[i] = b[i] - s[i] - y[i] / rho;
             }
@@ -536,17 +496,8 @@ impl AdmmSolver {
             for j in 0..d {
                 rhs[j] += -c[j] / rho + st.prox_eps * x[j];
             }
-            let cg_tol = 1e-10_f64.max(1e-4 / ((iter + 1) as f64).powf(1.3)) * norm2(&rhs).max(1.0);
-            let (cg_iters, _cg_residual) = cg_best_effort_with(
-                &op,
-                &rhs,
-                &mut x,
-                cg_tol,
-                st.cg_max_iter,
-                Some(&diag),
-                &mut cg_ws,
-            );
-            ADMM_CG_ITERATIONS.record(cg_iters as u64);
+            factor.solve_in_place(&mut rhs);
+            std::mem::swap(&mut x, &mut rhs);
 
             // ---- over-relaxation on Ax
             a.matvec_into(&x, &mut ax);
@@ -632,7 +583,7 @@ impl AdmmSolver {
                         // solve; the constraint cache stays (it is a
                         // pure function of A).
                         r.warm = None;
-                        r.cg_ws = Some(cg_ws);
+                        r.cache = Some(cache);
                     }
                     return Err(ConicError::Diverged {
                         iterations: iter,
@@ -680,7 +631,7 @@ impl AdmmSolver {
                 s: s.clone(),
                 rho,
             });
-            r.cg_ws = Some(cg_ws);
+            r.cache = Some(cache);
         }
 
         if telemetry::enabled() {
@@ -946,6 +897,47 @@ mod tests {
         for (a, b) in sol.x.iter().zip(cold.x.iter()) {
             assert_eq!(a.to_bits(), b.to_bits(), "rebuilt cache must match cold");
         }
+    }
+
+    #[test]
+    fn x_update_residual_is_at_rounding_level() {
+        // A floorplanning-shaped SDP: one distance row per pair of
+        // an 8×8 PSD variable, so the factor fills in a pair clique.
+        use gfp_linalg::svec::svec_index;
+        let n = 8;
+        let mut b = ConeProgramBuilder::new(n * (n + 1) / 2);
+        for i in 0..n {
+            b.set_objective_coeff(svec_index(n, i, i), 1.0 + i as f64);
+        }
+        b.add_eq(&[(svec_index(n, 0, 0), 1.0)], 1.0);
+        for i in 0..n {
+            for j in 0..i {
+                let row = [
+                    (svec_index(n, i, i), 1.0),
+                    (svec_index(n, j, j), 1.0),
+                    (svec_index(n, i, j), -std::f64::consts::SQRT_2),
+                ];
+                b.add_ge(&row, 1.0 + (i * j) as f64);
+            }
+        }
+        b.add_psd_vars(&(0..n * (n + 1) / 2).collect::<Vec<_>>());
+        let p = b.build().unwrap();
+        let solver = AdmmSolver::new(AdmmSettings { max_iter: 50, ..AdmmSettings::default() });
+        let mut reuse = AdmmReuse::new();
+        solver.solve_with_reuse(&p, None, &mut reuse).unwrap();
+        let cache = reuse.cache.as_ref().expect("the solve fills the cache");
+
+        let a = &cache.a_scaled;
+        let rhs: Vec<f64> = (0..a.ncols()).map(|j| (j as f64 + 1.0).sin()).collect();
+        let mut x = rhs.clone();
+        cache.factor.solve_in_place(&mut x);
+        let mut mx = a.matvec_transpose(&a.matvec(&x));
+        for (v, xi) in mx.iter_mut().zip(&x) {
+            *v += cache.prox_eps * xi;
+        }
+        let r: Vec<f64> = mx.iter().zip(&rhs).map(|(u, v)| u - v).collect();
+        let rel = norm2(&r) / norm2(&rhs);
+        assert!(rel <= 1e-12, "x-update relative residual {rel:e}");
     }
 
     #[test]

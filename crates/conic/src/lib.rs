@@ -17,9 +17,10 @@
 //!
 //! Two backends are provided:
 //!
-//! * [`AdmmSolver`] — an SCS-style operator-splitting method with
-//!   conjugate-gradient linear solves, over-relaxation, adaptive
-//!   penalty and Ruiz equilibration. Scales to the n = 200 instances.
+//! * [`AdmmSolver`] — an SCS-style operator-splitting method whose
+//!   linear solves reuse one sparse Cholesky factor per constraint
+//!   matrix, with over-relaxation, adaptive penalty and Ruiz
+//!   equilibration. Scales to the n = 200 instances.
 //! * [`ipm::BarrierSdp`] — a dense log-det barrier interior-point
 //!   method for small SDPs. Much more accurate per iteration; used for
 //!   cross-checking and as an ablation backend.

@@ -255,8 +255,8 @@ pub struct OuterState {
     /// Cross-solve ADMM reuse state. The constraint matrix of Eq. 18
     /// never changes within a run (only the objective moves with `α`
     /// and `W`), so every sub-problem-1 solve of the ADMM backend
-    /// reuses the Ruiz equilibration, Jacobi preconditioner and CG
-    /// workspace computed once and warm-starts from the previous
+    /// reuses the Ruiz equilibration and the x-update's sparse
+    /// Cholesky factor computed once and warm-starts from the previous
     /// duals; the IPM ignores it. Cloned with the rest of the state,
     /// so supervisor checkpoints roll it back along with everything
     /// else.

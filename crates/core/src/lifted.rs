@@ -231,7 +231,7 @@ pub fn objective_matrix(
 /// Reusable assembly scratch: a [`ConeProgramBuilder`] retained across
 /// α rounds so repeated sub-problem-1 assembly reuses its row, offset
 /// and triplet buffers instead of reallocating them every round (the
-/// same hoisting pattern as the ADMM `CgWorkspace`). A workspace never
+/// same hoisting pattern as the ADMM loop's scratch). A workspace never
 /// changes the assembled program — builds through a warm workspace
 /// are bitwise-identical to builds through a new one.
 #[derive(Debug, Clone, Default)]

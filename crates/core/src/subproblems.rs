@@ -43,7 +43,7 @@ pub struct Sp1Result {
 ///   Eq. 18 depends only on the problem and the pair plan (never on
 ///   `α` or `W`, which enter through the objective), so across the
 ///   convex iteration the ADMM backend can reuse its Ruiz
-///   equilibration, Jacobi preconditioner and CG workspace, and
+///   equilibration and the x-update's sparse Cholesky factor, and
 ///   warm-start the duals from the previous solve — see [`AdmmReuse`].
 ///   The IPM ignores it; `None` solves from scratch, as the cold
 ///   solves `fig5b` times and the unit tests below run.

@@ -8,6 +8,7 @@
 
 use std::path::PathBuf;
 
+use gfp_core::checkpoint::{decode_state, encode_state, STATE_FORMAT_VERSION};
 use gfp_core::supervisor::{SolveSupervisor, SupervisorSettings};
 use gfp_core::{
     FloorplanError, FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions,
@@ -159,5 +160,39 @@ fn resumed_run_continues_the_generation_sequence() {
         *after.last().unwrap() > max_before,
         "generations did not advance: {before:?} -> {after:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A v3 snapshot, written before the ADMM cache dropped the Jacobi
+/// diagonal of its CG x-update, still decodes and resumes: the fixture
+/// is the round-1 generation of `supervisor(1, dir).solve(n10)` from
+/// the last v3 build. The decoder drops the diagonal and refactors the
+/// cache, so the resume lands exactly where a v4 snapshot of the same
+/// state does.
+#[test]
+fn v3_snapshot_with_cg_diagonal_decodes_and_resumes() {
+    let p = n10_problem();
+    let dir = temp_dir("v3");
+    let store = SnapshotStore::open(&dir, 3).unwrap();
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/snap_v3_n10_round1.gfps");
+    std::fs::copy(fixture, store.path_for(1)).unwrap();
+
+    let snap = store.load_latest().unwrap().expect("fixture generation");
+    assert_eq!(snap.version, 3);
+    let state = decode_state(snap.version, &snap.payload).expect("v3 decodes");
+    assert_eq!(state.round, 1);
+    assert!(state.admm_reuse.is_warm());
+    let cache = state.admm_reuse.snapshot().cache.expect("the v3 cache survives");
+    // v4 drops exactly the diagonal: a length prefix and one f64 per
+    // column.
+    let v4 = encode_state(&state);
+    assert_eq!(v4.len() + 8 * (1 + cache.col_scale.len()), snap.payload.len());
+    let from_v4 = decode_state(STATE_FORMAT_VERSION, &v4).unwrap();
+
+    let resumed = supervisor(3, None).resume_from_dir(&p, &dir).expect("v3 resumes");
+    let reference = supervisor(3, None).resume(&p, from_v4);
+    assert_eq!(resumed.checkpoint.round, 3);
+    assert_eq!(position_bits(&resumed), position_bits(&reference));
+    assert!(resumed.floorplan.positions.iter().all(|&(x, y)| x.is_finite() && y.is_finite()));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //! soft-module area constraint `w·h ≥ s` is the second-order cone
 //! `‖(2√s, w − h)‖₂ ≤ w + h`.
 
-use gfp_conic::{AdmmSettings, AdmmSolver, ConeProgramBuilder};
+use gfp_conic::{AdmmSettings, AdmmSolver, ConeProgram, ConeProgramBuilder};
 use gfp_core::GlobalFloorplanProblem;
 use gfp_netlist::geometry::Rect;
 use gfp_netlist::{hpwl, Netlist, Outline, PinRef};
@@ -133,11 +133,117 @@ pub fn legalize(
     }
     drop(graph_span);
 
+    let (program, warm) = shape_program(netlist, problem, outline, centers, &graph, k)?;
+
+    // --- solve --------------------------------------------------------------
+    let socp_span = telemetry::span("legalize.socp");
+    let solver = AdmmSolver::new(settings.admm.clone());
+    let (sol, _trace) = solver.solve_with_trace(&program, Some(&warm))?;
+    drop(socp_span);
+    // A non-converged solve may still carry physically valid shapes
+    // (feasible but not wirelength-optimal); validation below decides.
+    let solver_note = if sol.status.is_usable() {
+        None
+    } else {
+        Some(format!(
+            "solver status {:?} (primal {:.2e}, dual {:.2e}, gap {:.2e})",
+            sol.status,
+            sol.info.primal_residual,
+            sol.info.dual_residual,
+            sol.info.duality_gap
+        ))
+    };
+
+    // --- extract and validate ----------------------------------------------
+    let mut rects: Vec<Rect> = (0..n)
+        .map(|i| {
+            Rect::new(
+                sol.x[var_x(i)] * scale,
+                sol.x[var_y(i)] * scale,
+                sol.x[var_w(i)] * scale,
+                sol.x[var_h(i)] * scale,
+            )
+        })
+        .collect();
+    // Inflate any slight area shortfall from solver tolerance, then
+    // nudge rectangles back inside the outline.
+    for (i, r) in rects.iter_mut().enumerate() {
+        let s = problem.areas[i];
+        if r.area() < s {
+            let f = (s / r.area()).sqrt();
+            r.w *= f;
+            r.h *= f;
+        }
+        if r.x < 0.0 {
+            r.x = 0.0;
+        }
+        if r.y < 0.0 {
+            r.y = 0.0;
+        }
+        if r.x + r.w > outline.width {
+            r.x = (outline.width - r.w).max(0.0);
+        }
+        if r.y + r.h > outline.height {
+            r.y = (outline.height - r.h).max(0.0);
+        }
+    }
+    if let Err(e) = validate(&rects, problem, outline, settings.tol) {
+        return Err(match solver_note {
+            Some(note) => LegalizeError::Infeasible {
+                detail: format!("{note}; {e}"),
+            },
+            None => e,
+        });
+    }
+
+    let centers: Vec<(f64, f64)> = rects.iter().map(Rect::center).collect();
+    let wl = hpwl::hpwl(netlist, &centers);
+    if telemetry::enabled() {
+        telemetry::event(
+            "legalize.done",
+            &[
+                ("modules", (n as u64).into()),
+                ("hpwl", wl.into()),
+                ("socp_objective", (sol.objective * scale).into()),
+            ],
+        );
+    }
+    Ok(LegalFloorplan {
+        rects,
+        hpwl: wl,
+        socp_objective: sol.objective * scale,
+    })
+}
+
+/// Column of module `i`'s lower-left `x` in the shape SOCP; `y`, `w`
+/// and `h` follow it.
+fn var_x(i: usize) -> usize {
+    4 * i
+}
+fn var_y(i: usize) -> usize {
+    4 * i + 1
+}
+fn var_w(i: usize) -> usize {
+    4 * i + 2
+}
+fn var_h(i: usize) -> usize {
+    4 * i + 3
+}
+
+/// The shape SOCP over the relations of `graph`, with the warm start
+/// the module centres give; coordinates are normalized by the outline
+/// width, and `k` is the aspect limit.
+fn shape_program(
+    netlist: &Netlist,
+    problem: &GlobalFloorplanProblem,
+    outline: &Outline,
+    centers: &[(f64, f64)],
+    graph: &ConstraintGraph,
+    k: f64,
+) -> Result<(ConeProgram, Vec<f64>), LegalizeError> {
+    let n = problem.n;
+    let scale = outline.width;
     // --- variable layout (normalized by outline width) -------------------
-    let var_x = |i: usize| 4 * i;
-    let var_y = |i: usize| 4 * i + 1;
-    let var_w = |i: usize| 4 * i + 2;
-    let var_h = |i: usize| 4 * i + 3;
     let nets: Vec<&gfp_netlist::Net> = netlist
         .nets()
         .iter()
@@ -279,86 +385,7 @@ pub fn legalize(
         warm[var_ly(e)] = ly;
         warm[var_uy(e)] = uy;
     }
-
-    // --- solve --------------------------------------------------------------
-    let socp_span = telemetry::span("legalize.socp");
-    let program = b.build()?;
-    let solver = AdmmSolver::new(settings.admm.clone());
-    let (sol, _trace) = solver.solve_with_trace(&program, Some(&warm))?;
-    drop(socp_span);
-    // A non-converged solve may still carry physically valid shapes
-    // (feasible but not wirelength-optimal); validation below decides.
-    let solver_note = if sol.status.is_usable() {
-        None
-    } else {
-        Some(format!(
-            "solver status {:?} (primal {:.2e}, dual {:.2e}, gap {:.2e})",
-            sol.status,
-            sol.info.primal_residual,
-            sol.info.dual_residual,
-            sol.info.duality_gap
-        ))
-    };
-
-    // --- extract and validate ----------------------------------------------
-    let mut rects: Vec<Rect> = (0..n)
-        .map(|i| {
-            Rect::new(
-                sol.x[var_x(i)] * scale,
-                sol.x[var_y(i)] * scale,
-                sol.x[var_w(i)] * scale,
-                sol.x[var_h(i)] * scale,
-            )
-        })
-        .collect();
-    // Inflate any slight area shortfall from solver tolerance, then
-    // nudge rectangles back inside the outline.
-    for (i, r) in rects.iter_mut().enumerate() {
-        let s = problem.areas[i];
-        if r.area() < s {
-            let f = (s / r.area()).sqrt();
-            r.w *= f;
-            r.h *= f;
-        }
-        if r.x < 0.0 {
-            r.x = 0.0;
-        }
-        if r.y < 0.0 {
-            r.y = 0.0;
-        }
-        if r.x + r.w > outline.width {
-            r.x = (outline.width - r.w).max(0.0);
-        }
-        if r.y + r.h > outline.height {
-            r.y = (outline.height - r.h).max(0.0);
-        }
-    }
-    if let Err(e) = validate(&rects, problem, outline, settings.tol) {
-        return Err(match solver_note {
-            Some(note) => LegalizeError::Infeasible {
-                detail: format!("{note}; {e}"),
-            },
-            None => e,
-        });
-    }
-
-    let centers: Vec<(f64, f64)> = rects.iter().map(Rect::center).collect();
-    let wl = hpwl::hpwl(netlist, &centers);
-    if telemetry::enabled() {
-        telemetry::event(
-            "legalize.done",
-            &[
-                ("modules", (n as u64).into()),
-                ("hpwl", wl.into()),
-                ("socp_objective", (sol.objective * scale).into()),
-            ],
-        );
-    }
-    Ok(LegalFloorplan {
-        rects,
-        hpwl: wl,
-        socp_objective: sol.objective * scale,
-    })
+    Ok((b.build()?, warm))
 }
 
 /// Physical validation of the legalized shapes.
@@ -442,6 +469,45 @@ mod tests {
                 (cx, cy)
             })
             .collect()
+    }
+
+    /// Factors the normal matrix `εI + ĀᵀĀ` that the ADMM x-update
+    /// factors for `program` (its equilibrated `Ā`, read from a reuse
+    /// cache after one iteration), both sparse and dense, and checks
+    /// the two solutions and the sparse residual.
+    fn assert_normal_factor_matches_dense(program: &gfp_conic::ConeProgram) {
+        let mut reuse = gfp_conic::AdmmReuse::new();
+        let one_step = AdmmSettings { max_iter: 1, ..AdmmSettings::default() };
+        AdmmSolver::new(one_step).solve_with_reuse(program, None, &mut reuse).unwrap();
+        let cache = reuse.snapshot().cache.unwrap();
+        let m = cache.a_scaled.normal_matrix(cache.prox_eps);
+        let b: Vec<f64> = (0..m.nrows()).map(|j| (0.7 * j as f64).cos()).collect();
+        let mut x = b.clone();
+        gfp_linalg::SparseCholesky::new(&m).unwrap().solve_in_place(&mut x);
+        let dense = gfp_linalg::Cholesky::new(&m.to_dense()).unwrap().solve(&b);
+        let norm = |v: &[f64]| v.iter().map(|t| t * t).sum::<f64>().sqrt();
+        let r: Vec<f64> = m.matvec(&x).iter().zip(&b).map(|(u, v)| u - v).collect();
+        let d: Vec<f64> = x.iter().zip(&dense).map(|(u, v)| u - v).collect();
+        assert!(norm(&r) <= 1e-12 * norm(&b), "residual {:e}", norm(&r) / norm(&b));
+        assert!(norm(&d) <= 1e-9 * norm(&dense), "vs dense {:e}", norm(&d) / norm(&dense));
+    }
+
+    #[test]
+    fn normal_factor_matches_dense_on_n10_sdp_and_legalization() {
+        use gfp_core::lifted::{build_admm_program, objective_matrix, AssemblyWorkspace};
+        let (nl, p, outline) = setup(1.0);
+        let identity = gfp_linalg::Mat::identity(p.n + 2);
+        let objective = objective_matrix(&p, &p.a, Some((&identity, 2.0)));
+        let pairs = gfp_core::neighbors::all_pairs(p.n);
+        let mut ws = AssemblyWorkspace::new();
+        let sdp = build_admm_program(&p, &p.a, &objective, &pairs, &mut ws).unwrap();
+        assert_normal_factor_matches_dense(&sdp);
+
+        let centers = grid_centers(p.n, &outline);
+        let graph = ConstraintGraph::from_positions(&centers, &outline);
+        let (socp, _) = shape_program(&nl, &p, &outline, &centers, &graph, 3.0).unwrap();
+        assert!(socp.num_vars() > 400, "the n10 legalization SOCP has {} vars", socp.num_vars());
+        assert_normal_factor_matches_dense(&socp);
     }
 
     #[test]

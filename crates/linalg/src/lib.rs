@@ -5,19 +5,22 @@
 //! eigendecomposition ([`eigh`]) and one certified partial eigensolver
 //! ([`spectral_side`], [`top_pairs`]), triangular factorizations
 //! ([`Cholesky`], [`Ldlt`], [`Lu`]), a compressed sparse row
-//! matrix ([`sparse::CsrMat`]), conjugate-gradient solvers
-//! ([`cg::cg`]) and the scaled symmetric vectorization used by the
-//! conic solver ([`svec::svec`] / [`svec::smat`]).
+//! matrix ([`sparse::CsrMat`]) with its minimum-degree sparse
+//! Cholesky factor ([`SparseCholesky`]) and the scaled symmetric
+//! vectorization used by the conic solver ([`svec::svec`] /
+//! [`svec::smat`]).
 //!
 //! Everything is `f64` and deterministic: the hot kernels
-//! ([`spectral_accumulate`], the CSR matvec, and the bisection and
-//! reflector application inside [`spectral_side`]) are parallelized
+//! ([`spectral_accumulate`], and the bisection and reflector
+//! application inside [`spectral_side`]) are parallelized
 //! over the std-only `gfp-parallel` pool, but every floating-point
 //! accumulation keeps a fixed association order, so results are
-//! bitwise identical for every `GFP_THREADS` setting. [`Mat::matmul`]
-//! and the Householder reduction behind [`eigh`] and [`spectral_side`]
-//! run serially: the solver's products are n×2, and one reduction
-//! step's O(m²) work is too small to pay for pool dispatch.
+//! bitwise identical for every `GFP_THREADS` setting. [`Mat::matmul`],
+//! the Householder reduction behind [`eigh`] and [`spectral_side`], the
+//! CSR products and [`SparseCholesky`] run serially: the solver's dense
+//! products are n×2, one reduction step's O(m²) work is too small to
+//! pay for pool dispatch, an ADMM iteration makes one `A·x`, and a
+//! triangular sweep is a chain of dependent updates.
 //!
 //! # Example
 //!
@@ -38,9 +41,9 @@ mod eigen;
 mod error;
 mod lu;
 mod mat;
+mod sparse_chol;
 mod tridiag;
 
-pub mod cg;
 pub mod fastpath;
 pub mod sparse;
 pub mod svec;
@@ -51,6 +54,7 @@ pub use eigen::{eigh, eigvalsh, spectral_accumulate, Eigh};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use mat::Mat;
+pub use sparse_chol::SparseCholesky;
 pub use tridiag::{spectral_side, top_pairs, SideKind, SpectralSide};
 
 /// Starts a wall-clock sample for a kernel-level telemetry counter,

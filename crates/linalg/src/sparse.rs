@@ -6,10 +6,6 @@
 
 use crate::Mat;
 
-/// Nonzero count from which [`CsrMat::matvec_into`] fans row blocks
-/// out to the pool.
-pub const CSR_PARALLEL_NNZ: usize = 8192;
-
 /// A compressed sparse row matrix.
 ///
 /// # Example
@@ -163,10 +159,9 @@ impl CsrMat {
 
     /// Matrix-vector product writing into a pre-allocated buffer.
     ///
-    /// Row blocks run on the `gfp-parallel` pool when the matrix has
-    /// at least [`CSR_PARALLEL_NNZ`] nonzeros; each `y[i]` is one
-    /// fixed-order row sum computed by exactly one job, so the result
-    /// is bitwise identical at every worker count.
+    /// Serial: an ADMM iteration makes one `A x`, and fanning its row
+    /// blocks out to the pool did not measurably pay on `flat_n200`
+    /// (DESIGN.md §9).
     ///
     /// # Panics
     ///
@@ -174,17 +169,12 @@ impl CsrMat {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec: x length mismatch");
         assert_eq!(y.len(), self.rows, "matvec: y length mismatch");
-        let nthreads = gfp_parallel::effective_num_threads();
-        if !gfp_parallel::should_parallelize(self.nnz(), CSR_PARALLEL_NNZ, CSR_PARALLEL_NNZ / 4)
-            || self.rows < 2
-        {
-            self.matvec_rows(x, y, 0);
-        } else {
-            let grain = self.rows.div_ceil(nthreads * 4).max(32);
-            let chunks: Vec<&mut [f64]> = y.chunks_mut(grain).collect();
-            gfp_parallel::parallel_for_each_chunk(chunks, |ci, ychunk| {
-                self.matvec_rows(x, ychunk, ci * grain);
-            });
+        for (i, yi) in y.iter_mut().enumerate() {
+            let mut s = 0.0;
+            for k in self.indptr[i]..self.indptr[i + 1] {
+                s += self.values[k] * x[self.indices[k]];
+            }
+            *yi = s;
         }
         // Fault-injection hook (no-op unless `fault-inject` is on):
         // corrupts the *output* after the deterministic compute, at a
@@ -195,19 +185,6 @@ impl CsrMat {
                     *v += fired.magnitude;
                 }
             }
-        }
-    }
-
-    /// Computes `y[off + r] = (A x)[row0 + r]` for the rows covered by
-    /// the `y` slice.
-    fn matvec_rows(&self, x: &[f64], y: &mut [f64], row0: usize) {
-        for (off, yi) in y.iter_mut().enumerate() {
-            let i = row0 + off;
-            let mut s = 0.0;
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                s += self.values[k] * x[self.indices[k]];
-            }
-            *yi = s;
         }
     }
 
@@ -244,6 +221,68 @@ impl CsrMat {
             for k in self.indptr[i]..self.indptr[i + 1] {
                 x[self.indices[k]] += self.values[k] * yi;
             }
+        }
+    }
+
+    /// The symmetric matrix `shift·I + AᵀA`, both triangles stored.
+    ///
+    /// Entry `(j, k)` is `Σ_r A[r,j]·A[r,k]` summed over the rows `r`
+    /// in increasing order (the diagonal starts from `shift`), so the
+    /// result is deterministic and bitwise symmetric. Costs
+    /// `Σ_r nnz(row r)²` operations.
+    pub fn normal_matrix(&self, shift: f64) -> CsrMat {
+        // Aᵀ by rows: the nonzero rows of each column, in order.
+        let mut col_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.indices {
+            col_ptr[c + 1] += 1;
+        }
+        for j in 0..self.cols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut col_rows = vec![0usize; self.nnz()];
+        let mut col_vals = vec![0.0; self.nnz()];
+        let mut next = col_ptr[..self.cols].to_vec();
+        for i in 0..self.rows {
+            for (c, v) in self.row_iter(i) {
+                col_rows[next[c]] = i;
+                col_vals[next[c]] = v;
+                next[c] += 1;
+            }
+        }
+
+        let mut indptr = vec![0usize; self.cols + 1];
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        let mut acc = vec![0.0; self.cols];
+        let mut mark = vec![usize::MAX; self.cols];
+        let mut pattern = Vec::new();
+        for j in 0..self.cols {
+            pattern.clear();
+            pattern.push(j);
+            mark[j] = j;
+            acc[j] = shift;
+            for p in col_ptr[j]..col_ptr[j + 1] {
+                let arj = col_vals[p];
+                for (k, ark) in self.row_iter(col_rows[p]) {
+                    if mark[k] != j {
+                        mark[k] = j;
+                        acc[k] = 0.0;
+                        pattern.push(k);
+                    }
+                    acc[k] += arj * ark;
+                }
+            }
+            pattern.sort_unstable();
+            indices.extend_from_slice(&pattern);
+            values.extend(pattern.iter().map(|&k| acc[k]));
+            indptr[j + 1] = indices.len();
+        }
+        CsrMat {
+            rows: self.cols,
+            cols: self.cols,
+            indptr,
+            indices,
+            values,
         }
     }
 
@@ -344,6 +383,25 @@ mod tests {
         assert_eq!(d[(0, 0)], -2.0);
         assert_eq!(d[(0, 1)], 3.0);
         assert_eq!(d[(1, 1)], 6.0);
+    }
+
+    #[test]
+    fn normal_matrix_matches_dense_product() {
+        let a = CsrMat::from_triplets(
+            3,
+            3,
+            &[(0, 0, 1.0), (0, 2, -2.0), (1, 1, 3.0), (2, 0, 0.5), (2, 1, 4.0)],
+        );
+        let n = a.normal_matrix(0.25);
+        let d = a.to_dense();
+        let mut dense = d.transpose().matmul(&d);
+        for j in 0..3 {
+            dense[(j, j)] += 0.25;
+        }
+        assert_eq!(n.to_dense(), dense);
+        // A column with no entry keeps only the shift on its diagonal.
+        let b = CsrMat::from_triplets(1, 2, &[(0, 1, 2.0)]);
+        assert_eq!(b.normal_matrix(1.0).csr_parts(), (&[0, 1, 2][..], &[0, 1][..], &[1.0, 5.0][..]));
     }
 
     #[test]

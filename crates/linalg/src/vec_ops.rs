@@ -7,7 +7,7 @@
 //! sequential even though a `gfp-parallel` pool is available: a
 //! chunked parallel sum groups additions differently from the plain
 //! left-to-right fold, so parallelizing them would change the bits of
-//! every CG and ADMM residual relative to the sequential baseline.
+//! every ADMM residual relative to the sequential baseline.
 //! The workspace-wide determinism contract (see `gfp-parallel`)
 //! parallelizes only kernels whose accumulation order can be kept
 //! exactly identical to their sequential path; O(n) folds over the

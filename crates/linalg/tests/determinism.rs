@@ -2,7 +2,7 @@
 //!
 //! The `gfp-parallel` contract is that every kernel produces bitwise
 //! identical output at every worker count. These tests run matmul,
-//! eigh, the spectral accumulation and the CSR matvec on seeded random
+//! eigh and the spectral accumulation on seeded random
 //! inputs under pools of 1, 2 and 8 workers (via the thread-local
 //! `with_pool` override) and compare results with exact `f64` bit
 //! equality.
@@ -101,24 +101,4 @@ fn spectral_accumulate_is_bitwise_deterministic() {
             .as_slice()
             .to_vec()
     });
-}
-
-#[test]
-fn csr_matvec_is_bitwise_deterministic() {
-    use gfp_linalg::sparse::CsrMat;
-    let mut rng = Rng::seed_from_u64(0x5eed_0005);
-    // Dense enough to cross CSR_PARALLEL_NNZ = 8192.
-    let (rows, cols) = (200, 120);
-    let mut trips = Vec::new();
-    for i in 0..rows {
-        for j in 0..cols {
-            if rng.gen_bool(0.5) {
-                trips.push((i, j, 2.0 * rng.gen_f64() - 1.0));
-            }
-        }
-    }
-    let a = CsrMat::from_triplets(rows, cols, &trips);
-    assert!(a.nnz() >= 8192, "test matrix must cross the parallel cutoff");
-    let x: Vec<f64> = (0..cols).map(|_| 2.0 * rng.gen_f64() - 1.0).collect();
-    check_across_pools("csr matvec", || a.matvec(&x));
 }

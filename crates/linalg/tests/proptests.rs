@@ -3,7 +3,8 @@
 //! build has no `proptest`).
 
 use gfp_linalg::svec::{smat, svec};
-use gfp_linalg::{cg::cg_best_effort, eigh, Cholesky, Lu, Mat};
+use gfp_linalg::sparse::CsrMat;
+use gfp_linalg::{eigh, Cholesky, Lu, Mat, SparseCholesky};
 use gfp_rand::Rng;
 
 const CASES: u64 = 64;
@@ -98,15 +99,16 @@ fn lu_solve_recovers_solution() {
 }
 
 #[test]
-fn cg_matches_direct_solver() {
+fn sparse_cholesky_matches_direct_solver() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(500 + seed);
         let a = spd_mat(&mut rng, 6);
         let xt = rand_vec(&mut rng, 6, -3.0, 3.0);
-        let b = a.matvec(&xt);
-        let r = cg_best_effort(&a, &b, &vec![0.0; 6], 1e-11, 200, None);
-        for (u, v) in r.x.iter().zip(xt.iter()) {
-            assert!((u - v).abs() < 1e-6, "seed {seed}: cg {u} vs {v}");
+        let mut x = a.matvec(&xt);
+        let trips: Vec<_> = (0..6).flat_map(|i| (0..6).map(move |j| (i, j))).map(|(i, j)| (i, j, a[(i, j)])).collect();
+        SparseCholesky::new(&CsrMat::from_triplets(6, 6, &trips)).unwrap().solve_in_place(&mut x);
+        for (u, v) in x.iter().zip(xt.iter()) {
+            assert!((u - v).abs() < 1e-6, "seed {seed}: sparse cholesky {u} vs {v}");
         }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The convex-iteration pipeline spends nearly all of its time in a
 //! handful of kernels (PSD-cone reconstruction, the bisection and
-//! reflector application of the partial eigensolver, the CSR matvec
-//! of the ADMM solve). This crate gives them a shared,
-//! dependency-free worker pool plus a deterministic fan-out helper:
+//! reflector application of the partial eigensolver). This crate
+//! gives them a shared, dependency-free worker pool plus a
+//! deterministic fan-out helper:
 //!
 //! * [`ThreadPool`] — fixed worker set with **scoped** job submission
 //!   ([`ThreadPool::scoped`]): jobs may borrow stack data, and waiting

@@ -8,7 +8,7 @@
 //!   scalability extension.
 //! * [`conic`] — the first-party ADMM + barrier-IPM conic solver.
 //! * [`linalg`] — dense/sparse linear algebra (eigendecomposition,
-//!   factorizations, CG, `svec`).
+//!   factorizations, sparse Cholesky, `svec`).
 //! * [`optim`] — L-BFGS and gradient checking.
 //! * [`netlist`] — circuit model, HPWL, bookshelf I/O, the synthetic
 //!   benchmark suite and SVG rendering.

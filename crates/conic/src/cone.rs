@@ -272,8 +272,10 @@ fn project_psd(v: &mut [f64], n: usize) {
 }
 
 /// Block size from which the partial-spectrum projection is worth
-/// attempting; below it the dense path is already cheap.
-const PSD_PARTIAL_MIN_N: usize = 64;
+/// attempting; below it the dense path is already cheap. ADMM's
+/// Anderson acceleration engages from the same size, where the
+/// projection dominates an iteration.
+pub(crate) const PSD_PARTIAL_MIN_N: usize = 64;
 
 /// Relative truncation cut for the partial path: eigenvalues inside
 /// `±tol·scale` are treated as zero. Their contribution to the

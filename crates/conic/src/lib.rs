@@ -50,6 +50,7 @@
 //! ```
 
 mod admm;
+mod anderson;
 mod cone;
 mod error;
 mod program;

@@ -2,8 +2,9 @@
 //! same SDP both must find the same optimal value.
 
 use gfp_conic::ipm::{BarrierSdp, BarrierSettings, SdpProblem};
-use gfp_conic::{AdmmSettings, AdmmSolver, ConeProgramBuilder};
+use gfp_conic::{AdmmSettings, AdmmSolver, ConeProgramBuilder, SolveStatus};
 use gfp_linalg::svec::{svec, svec_index, svec_len, SQRT2};
+use gfp_linalg::vec_ops::norm2;
 use gfp_linalg::Mat;
 use gfp_rand::Rng;
 
@@ -79,29 +80,63 @@ fn admm_and_ipm_agree_on_random_sdps() {
     }
 }
 
+/// The returned `(x, s, y)` is one consistent ADMM iterate: the slack
+/// lies in the cones, `Z` is PSD, and the primal and dual residuals
+/// recomputed from the returned vectors are the ones the solver
+/// reported and stopped on. n = 64 reaches Anderson acceleration, so an
+/// extrapolated `s` or `y` that did not match `x` would show here.
 #[test]
 fn admm_solution_is_cone_feasible() {
-    let (_, admm_prob) = random_instance(4, 99);
-    let sol = AdmmSolver::new(AdmmSettings {
-        eps: 1e-8,
-        ..AdmmSettings::default()
-    })
-    .solve(&admm_prob)
-    .unwrap();
-    // Slack must lie in the cones; check block by block.
-    let mut offset = 0;
-    for cone in &admm_prob.cones {
-        let dim = cone.dim();
-        assert!(
-            cone.contains(&sol.s[offset..offset + dim], 1e-5),
-            "slack block {cone:?} infeasible"
-        );
-        offset += dim;
+    for (n, eps) in [(4, 1e-8), (64, 1e-6)] {
+        let (_, admm_prob) = random_instance(n, 99);
+        let sol = AdmmSolver::new(AdmmSettings {
+            eps,
+            ..AdmmSettings::default()
+        })
+        .solve(&admm_prob)
+        .unwrap();
+        assert_eq!(sol.status, SolveStatus::Optimal, "n={n}");
+        // Slack must lie in the cones; check block by block.
+        let mut offset = 0;
+        for cone in &admm_prob.cones {
+            let dim = cone.dim();
+            assert!(
+                cone.contains(&sol.s[offset..offset + dim], 1e-5),
+                "n={n}: slack block {cone:?} infeasible"
+            );
+            offset += dim;
+        }
+        // Z itself (the x variables) must be PSD up to tolerance.
+        let z = gfp_linalg::svec::smat(&sol.x);
+        let evals = gfp_linalg::eigvalsh(&z).unwrap();
+        assert!(evals[0] > -1e-5, "n={n}: min eigenvalue {}", evals[0]);
+
+        // Residuals from the returned vectors, in the solver's units.
+        let p = &admm_prob;
+        let mut r = p.a.matvec(&sol.x);
+        for ((ri, si), bi) in r.iter_mut().zip(&sol.s).zip(&p.b) {
+            *ri += si - bi;
+        }
+        let pri = norm2(&r) / (1.0 + norm2(&p.b));
+        let mut q = p.a.matvec_transpose(&sol.y);
+        for (qi, ci) in q.iter_mut().zip(&p.c) {
+            *qi += ci;
+        }
+        let dua = norm2(&q) / (1.0 + norm2(&p.c));
+        for (what, got, reported) in [
+            ("primal", pri, sol.info.primal_residual),
+            ("dual", dua, sol.info.dual_residual),
+        ] {
+            assert!(
+                got < eps,
+                "n={n}: recomputed {what} residual {got:e} ≥ eps {eps:e}"
+            );
+            assert!(
+                (got - reported).abs() <= 1e-6 * reported + 1e-15,
+                "n={n}: recomputed {what} residual {got:e}, reported {reported:e}"
+            );
+        }
     }
-    // Z itself (the x variables) must be PSD up to tolerance.
-    let z = gfp_linalg::svec::smat(&sol.x);
-    let evals = gfp_linalg::eigvalsh(&z).unwrap();
-    assert!(evals[0] > -1e-5, "min eigenvalue {}", evals[0]);
 }
 
 #[test]

@@ -8,10 +8,12 @@
 
 use std::path::PathBuf;
 
+use gfp_conic::AdmmSettings;
 use gfp_core::checkpoint::{decode_state, encode_state, STATE_FORMAT_VERSION};
+use gfp_core::lifted::Lift;
 use gfp_core::supervisor::{SolveSupervisor, SupervisorSettings};
 use gfp_core::{
-    FloorplanError, FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions,
+    Backend, FloorplanError, FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions,
 };
 use gfp_netlist::suite;
 use gfp_store::{SnapshotStore, HEADER_LEN};
@@ -194,5 +196,58 @@ fn v3_snapshot_with_cg_diagonal_decodes_and_resumes() {
     assert_eq!(resumed.checkpoint.round, 3);
     assert_eq!(position_bits(&resumed), position_bits(&reference));
     assert!(resumed.floorplan.positions.iter().all(|&(x, y)| x.is_finite() && y.is_finite()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A resume after round 1 of a solve whose sub-problem-1 programs
+/// cross the acceleration gate lands bitwise on the uninterrupted run.
+/// 62 modules lift to a 64×64 PSD block, so every ADMM solve runs the
+/// Anderson-accelerated loop; its history lives inside one solve and
+/// never reaches a snapshot, so replaying round 2 from the round-1
+/// snapshot retraces it.
+#[test]
+fn resume_above_the_acceleration_gate_is_bitwise() {
+    let bench = suite::generate(&suite::SuiteSpec {
+        name: "n62",
+        modules: 62,
+        nets: 560,
+        pads: 200,
+        area_min: 500.0,
+        area_max: 8_000.0,
+        seed: 0x6e36_0062,
+    });
+    let p =
+        GlobalFloorplanProblem::from_netlist(&bench.netlist, &ProblemOptions::default()).unwrap();
+    assert_eq!(
+        Lift::new(p.n).nn,
+        64,
+        "the lifted block must reach the gate"
+    );
+    let sup = |rounds: usize, dir: Option<PathBuf>| {
+        let mut s = settings(rounds);
+        s.backend = Backend::Admm(AdmmSettings {
+            eps: 1e-5,
+            max_iter: 150,
+            ..AdmmSettings::default()
+        });
+        SolveSupervisor::with_supervision(
+            s,
+            SupervisorSettings {
+                checkpoint_dir: dir,
+                ..SupervisorSettings::default()
+            },
+        )
+    };
+    let reference = sup(2, None).solve(&p);
+
+    let dir = temp_dir("gate");
+    let killed = sup(1, Some(dir.clone())).solve(&p);
+    assert_eq!(killed.checkpoint.round, 1);
+    let resumed = sup(2, None)
+        .resume_from_dir(&p, &dir)
+        .expect("resume after round 1");
+    assert_eq!(resumed.checkpoint.round, 2);
+    assert_eq!(position_bits(&reference), position_bits(&resumed));
+    assert_eq!(reference.floorplan.iterations, resumed.floorplan.iterations);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,7 @@
 use std::sync::Mutex;
 
 use gfp_conic::ipm::BarrierSettings;
-use gfp_conic::AdmmSettings;
+use gfp_conic::{AdmmSettings, AdmmSolver, ConeProgram, ConeProgramBuilder, ConicError};
 use gfp_core::lifted::Lift;
 use gfp_core::subproblems::solve_subproblem2;
 use gfp_core::{
@@ -25,6 +25,7 @@ use gfp_core::{
     SolveSupervisor, SupervisorSettings,
 };
 use gfp_fault::{FaultKind, FaultPlan, Site};
+use gfp_linalg::svec::{svec_index, svec_len, SQRT2};
 use gfp_linalg::{fastpath, Mat};
 use gfp_netlist::suite;
 use gfp_parallel::{with_pool, ThreadPool};
@@ -39,6 +40,50 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 fn n10_problem() -> GlobalFloorplanProblem {
     let b = suite::gsrc_n10();
     GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default()).unwrap()
+}
+
+/// A generated 62-module instance: its lifted PSD block has order 64,
+/// so sub-problem 1 runs the Anderson-accelerated ADMM loop.
+fn n62_problem() -> GlobalFloorplanProblem {
+    let b = suite::generate(&suite::SuiteSpec {
+        name: "n62",
+        modules: 62,
+        nets: 560,
+        pads: 200,
+        area_min: 500.0,
+        area_max: 8_000.0,
+        seed: 0x6e36_0062,
+    });
+    GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default()).unwrap()
+}
+
+/// A small ADMM budget for the n62 solves (debug builds run them).
+fn admm_backend_above_gate() -> Backend {
+    Backend::Admm(AdmmSettings {
+        eps: 1e-5,
+        max_iter: 60,
+        ..AdmmSettings::default()
+    })
+}
+
+/// A MaxCut-style SDP on a 64×64 PSD variable (`diag Z = 1`), the
+/// smallest block ADMM accelerates.
+fn maxcut_64() -> ConeProgram {
+    let n = 64;
+    let mut rng = Rng::seed_from_u64(0x5eed_6464);
+    let mut b = ConeProgramBuilder::new(svec_len(n));
+    for j in 0..n {
+        for i in j..n {
+            let v = 2.0 * rng.gen_f64() - 1.0;
+            b.set_objective_coeff(
+                svec_index(n, i, j),
+                if i == j { v.abs() } else { SQRT2 * v },
+            );
+        }
+        b.add_eq(&[(svec_index(n, j, j), 1.0)], 1.0);
+    }
+    b.add_psd_vars(&(0..svec_len(n)).collect::<Vec<_>>());
+    b.build().unwrap()
 }
 
 fn admm_backend() -> Backend {
@@ -67,10 +112,18 @@ fn settings(backend: Backend) -> FloorplannerSettings {
 }
 
 fn supervisor(backend: Backend) -> SolveSupervisor {
+    supervisor_with(backend, true)
+}
+
+/// `fallback = false` keeps recovery on the primary backend (α
+/// backtracking only): a dense barrier step on the n62 SDP's 2,080
+/// variables would cost minutes.
+fn supervisor_with(backend: Backend, fallback: bool) -> SolveSupervisor {
     SolveSupervisor::with_supervision(
         settings(backend),
         SupervisorSettings {
             max_recoveries: 2,
+            backend_fallback: fallback,
             ..SupervisorSettings::default()
         },
     )
@@ -82,15 +135,27 @@ fn solve_with_fault(
     backend: Backend,
     plan: FaultPlan,
 ) -> (gfp_core::DegradedResult, u64) {
+    solve_with_fault_on(problem, supervisor(backend), plan)
+}
+
+fn solve_with_fault_on(
+    problem: &GlobalFloorplanProblem,
+    sup: SolveSupervisor,
+    plan: FaultPlan,
+) -> (gfp_core::DegradedResult, u64) {
     gfp_fault::arm(plan);
-    let result = supervisor(backend).solve(problem);
+    let result = sup.solve(problem);
     let fired = gfp_fault::injected_total();
     gfp_fault::disarm();
     (result, fired)
 }
 
 fn assert_placed(result: &gfp_core::DegradedResult, label: &str) {
-    assert_eq!(result.floorplan.positions.len(), 10, "{label}: wrong arity");
+    assert_placed_n(result, 10, label);
+}
+
+fn assert_placed_n(result: &gfp_core::DegradedResult, n: usize, label: &str) {
+    assert_eq!(result.floorplan.positions.len(), n, "{label}: wrong arity");
     assert!(
         result
             .floorplan
@@ -106,22 +171,35 @@ fn assert_placed(result: &gfp_core::DegradedResult, label: &str) {
 }
 
 /// Every injection kind at each backend's iteration-boundary site:
-/// the supervised solve must absorb or recover from all of them.
+/// the supervised solve must absorb or recover from all of them. The
+/// n62 case crosses the acceleration gate; its faults fire at the
+/// eleventh ADMM iteration, once the history extrapolates.
 #[test]
 fn fault_matrix_never_panics_and_always_places() {
     let _g = lock();
-    let problem = n10_problem();
+    let (n10, n62) = (n10_problem(), n62_problem());
     let cases = [
-        (Site::AdmmIter, admm_backend(), "admm"),
-        (Site::IpmNewton, ipm_backend(), "ipm"),
+        (&n10, Site::AdmmIter, admm_backend(), true, "admm", 1),
+        (&n10, Site::IpmNewton, ipm_backend(), true, "ipm", 1),
+        (
+            &n62,
+            Site::AdmmIter,
+            admm_backend_above_gate(),
+            false,
+            "admm-n62",
+            10,
+        ),
     ];
-    for (site, backend, bname) in cases {
+    for (problem, site, backend, fallback, bname, after) in cases {
         for kind in FaultKind::ALL {
             let label = format!("{}+{}@{bname}", site.name(), kind.name());
-            let (result, fired) =
-                solve_with_fault(&problem, backend.clone(), FaultPlan::single(site, kind, 1));
+            let (result, fired) = solve_with_fault_on(
+                problem,
+                supervisor_with(backend.clone(), fallback),
+                FaultPlan::single(site, kind, after),
+            );
             assert!(fired > 0, "{label}: fault never fired");
-            assert_placed(&result, &label);
+            assert_placed_n(&result, problem.n, &label);
             // Corrupting faults must be *visible* to the supervisor
             // (recovery) or *harmless* (absorbed by the solver's own
             // guards); either way the quality verdict is coherent.
@@ -131,10 +209,95 @@ fn fault_matrix_never_panics_and_always_places() {
                         result.recoveries > 0 || result.quality != SolveQuality::Certified,
                         "{label}: corrupted solve reported certified with no recovery"
                     );
+                    // Above the gate the corrupted ADMM solve must fail
+                    // (diverge) and be recovered, never pass as a result.
+                    assert!(
+                        problem.n < 62 || result.recoveries > 0,
+                        "{label}: a corrupted accelerated solve needed no recovery"
+                    );
                 }
                 _ => {}
             }
         }
+    }
+}
+
+/// Above the gate a corrupted ADMM iterate still ends in
+/// `ConicError::Diverged`: the safeguard never reverts to a clean point
+/// past a `NaN`/`Inf`, so the divergence guard sees it at the next
+/// check instead of a `NaN` "optimal" solution.
+#[test]
+fn corrupted_iterate_above_the_gate_diverges() {
+    let _g = lock();
+    let p = maxcut_64();
+    let solver = AdmmSolver::new(AdmmSettings {
+        eps: 1e-5,
+        ..AdmmSettings::default()
+    });
+    gfp_fault::disarm();
+    let clean = solver.solve(&p).unwrap();
+    assert!(
+        clean.info.iterations > 25,
+        "the fault must fire before convergence"
+    );
+    for kind in [FaultKind::Nan, FaultKind::Inf] {
+        gfp_fault::arm(FaultPlan::single(Site::AdmmIter, kind, 10));
+        let out = solver.solve(&p);
+        let fired = gfp_fault::injected_total();
+        gfp_fault::disarm();
+        assert_eq!(fired, 1, "{}: fault never fired", kind.name());
+        match out {
+            Err(ConicError::Diverged { iterations, .. }) => assert!(iterations <= 25),
+            Err(e) => panic!("{}: unexpected error {e}", kind.name()),
+            Ok(sol) => panic!(
+                "{}: returned {:?} from a corrupted iterate",
+                kind.name(),
+                sol.status
+            ),
+        }
+    }
+}
+
+/// A budget cut at an extrapolated iterate returns the plain iterate:
+/// the solve stopped by `BudgetExhaust` after ten iterations returns
+/// bitwise what a ten-iteration budget returns, where the tenth step
+/// is a check and never extrapolates.
+#[test]
+fn budget_cut_above_the_gate_returns_the_plain_iterate() {
+    let _g = lock();
+    let p = maxcut_64();
+    gfp_fault::disarm();
+    let capped = AdmmSolver::new(AdmmSettings {
+        eps: 1e-5,
+        max_iter: 10,
+        ..AdmmSettings::default()
+    })
+    .solve(&p)
+    .unwrap();
+    gfp_fault::arm(FaultPlan::single(
+        Site::AdmmIter,
+        FaultKind::BudgetExhaust,
+        10,
+    ));
+    let cut = AdmmSolver::new(AdmmSettings {
+        eps: 1e-5,
+        ..AdmmSettings::default()
+    })
+    .solve(&p);
+    gfp_fault::disarm();
+    let cut = cut.unwrap();
+    assert_eq!(cut.info.iterations, 10);
+    for (what, a, b) in [
+        ("x", &capped.x, &cut.x),
+        ("s", &capped.s, &cut.s),
+        ("y", &capped.y, &cut.y),
+    ] {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(a),
+            bits(b),
+            "{what} differs from the plain ten-iteration iterate"
+        );
     }
 }
 

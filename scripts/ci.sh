@@ -18,6 +18,11 @@ echo "== slow-tier tests =="
 # Full-budget integration tests (#[ignore]d from the fast tier, see
 # DESIGN.md §10): SDP → legalization pipelines at publication budgets.
 cargo test -q -- --ignored
+# The library crate's slow tier whose solves cross the ADMM
+# acceleration gate (PSD blocks of order 64 and up): n100 bitwise at
+# 1/2/8 workers, n200 sparsified within 2% of dense, and the
+# hierarchical n50 golden + resume. About 45 s in release on 2 vCPUs.
+cargo test --release -q -p gfp-core --test scaling_sparsify -- --ignored
 
 echo "== fault-injection tests =="
 # Deterministic fault-matrix + supervisor recovery tests; the hooks

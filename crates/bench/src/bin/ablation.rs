@@ -51,10 +51,7 @@ fn main() {
             let p = pipeline.clone();
             move || {
                 let mut s = p.sdp_settings();
-                s.backend = Backend::Ipm(BarrierSettings {
-                    eps: 1e-7,
-                    ..BarrierSettings::default()
-                });
+                s.backend = Backend::Ipm(BarrierSettings { eps: 1e-7 });
                 s
             }
         })),

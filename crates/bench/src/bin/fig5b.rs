@@ -75,7 +75,6 @@ fn main() {
             &Backend::Admm(AdmmSettings {
                 eps: 1e-4,
                 max_iter: 4000,
-                ..AdmmSettings::default()
             }),
             None,
             None,
@@ -97,10 +96,7 @@ fn main() {
             &p,
             &p.a,
             &obj,
-            &Backend::Ipm(BarrierSettings {
-                eps: 1e-6,
-                ..BarrierSettings::default()
-            }),
+            &Backend::Ipm(BarrierSettings { eps: 1e-6 }),
             None,
             None,
             &all_pairs(n),

@@ -76,7 +76,6 @@ impl Budget {
                 s.backend = gfp_core::Backend::Admm(AdmmSettings {
                     eps: 1e-5,
                     max_iter: 12_000,
-                    ..AdmmSettings::default()
                 });
             }
         }
@@ -89,7 +88,6 @@ impl Budget {
             s.backend = gfp_core::Backend::Admm(AdmmSettings {
                 eps: 1e-4,
                 max_iter: if n >= 200 { 2000 } else { 3000 },
-                ..AdmmSettings::default()
             });
         }
         s

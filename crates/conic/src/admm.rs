@@ -45,31 +45,15 @@ static ADMM_ITERATIONS: telemetry::CounterHandle =
 static ADMM_SOLVE_ITERATIONS: telemetry::HistogramHandle =
     telemetry::HistogramHandle::new("admm.solve_iterations");
 
-/// Tuning parameters of the [`AdmmSolver`].
+/// Tuning parameters of the [`AdmmSolver`]: the budget and the
+/// tolerance. The splitting's own constants (`ρ₀`, over-relaxation,
+/// equilibration rounds, proximal `ε`, check cadence) are fixed.
 #[derive(Debug, Clone)]
 pub struct AdmmSettings {
     /// Iteration budget.
     pub max_iter: usize,
     /// Target relative tolerance for residuals and gap.
     pub eps: f64,
-    /// Initial penalty parameter `ρ`.
-    pub rho: f64,
-    /// Over-relaxation parameter `α ∈ (0, 2)`; 1.5–1.8 typically helps.
-    pub alpha: f64,
-    /// Enables residual-balancing adaptation of `ρ`.
-    pub adaptive_rho: bool,
-    /// Rounds of Ruiz equilibration (0 disables scaling).
-    pub scaling_iters: usize,
-    /// Normalize `b` and `c` to unit norm after equilibration
-    /// (SCS-style scalar scaling); strongly recommended for the badly
-    /// scaled floorplanning SDPs.
-    pub normalize: bool,
-    /// Proximal regularization `ε` of the x-update matrix `εI + ĀᵀĀ`;
-    /// must be positive when some column of `A` is empty, or the
-    /// factorization fails.
-    pub prox_eps: f64,
-    /// Iteration cadence of the (slightly costly) convergence check.
-    pub check_interval: usize,
 }
 
 impl Default for AdmmSettings {
@@ -77,16 +61,29 @@ impl Default for AdmmSettings {
         AdmmSettings {
             max_iter: 20_000,
             eps: 1e-6,
-            rho: 1.0,
-            alpha: 1.6,
-            adaptive_rho: true,
-            scaling_iters: 10,
-            normalize: true,
-            prox_eps: 1e-8,
-            check_interval: 25,
         }
     }
 }
+
+/// Initial penalty parameter `ρ`; residual balancing adapts it.
+const RHO0: f64 = 1.0;
+
+/// Over-relaxation parameter `α ∈ (0, 2)`; 1.5–1.8 typically helps.
+const RELAXATION: f64 = 1.6;
+
+/// Rounds of Ruiz equilibration. After them `b` and `c` are also
+/// normalized to unit norm (SCS-style scalar scaling), which the badly
+/// scaled floorplanning SDPs need.
+const SCALING_ITERS: usize = 10;
+
+/// Proximal regularization `ε` of the x-update matrix `εI + ĀᵀĀ`;
+/// positive so that a program with an empty column of `A` still
+/// factors.
+const PROX_EPS: f64 = 1e-8;
+
+/// Iteration cadence of the (slightly costly) convergence check;
+/// residual balancing runs at every second check.
+const CHECK_INTERVAL: usize = 25;
 
 /// Per-check-point convergence trace entry (for diagnostics and the
 /// convergence experiments of Fig. 5(a)).
@@ -273,11 +270,6 @@ impl AdmmSolver {
         AdmmSolver { settings }
     }
 
-    /// The active settings.
-    pub fn settings(&self) -> &AdmmSettings {
-        &self.settings
-    }
-
     /// Solves the program from a cold start.
     ///
     /// # Errors
@@ -359,8 +351,8 @@ impl AdmmSolver {
             .as_deref_mut()
             .and_then(|r| r.cache.take())
             .filter(|cache| {
-                cache.scaling_iters == st.scaling_iters
-                    && cache.prox_eps == st.prox_eps
+                cache.scaling_iters == SCALING_ITERS
+                    && cache.prox_eps == PROX_EPS
                     && cache.a_orig == program.a
             });
         let cache_valid = cached.is_some();
@@ -377,12 +369,8 @@ impl AdmmSolver {
             }
             None => {
                 let mut a = program.a.clone();
-                let eq = if st.scaling_iters > 0 {
-                    equilibrate(&mut a, &mut b, &mut c, &program.cones, st.scaling_iters)
-                } else {
-                    Equilibration::identity(m, d)
-                };
-                let factor = SparseCholesky::new(&a.normal_matrix(st.prox_eps))?;
+                let eq = equilibrate(&mut a, &mut b, &mut c, &program.cones, SCALING_ITERS);
+                let factor = SparseCholesky::new(&a.normal_matrix(PROX_EPS))?;
                 if let Some(r) = reuse.as_deref_mut() {
                     // A changed (or first call): the carried iterate
                     // belongs to a different geometry, drop it.
@@ -394,26 +382,21 @@ impl AdmmSolver {
                     a_scaled: a,
                     eq,
                     factor,
-                    scaling_iters: st.scaling_iters,
-                    prox_eps: st.prox_eps,
+                    scaling_iters: SCALING_ITERS,
+                    prox_eps: PROX_EPS,
                 }
             }
         };
         let (a, eq, factor) = (&cache.a_scaled, &cache.eq, &cache.factor);
         // Scalar normalization: b <- sb*b, c <- sc*c with unit norms.
-        let (sb, sc) = if st.normalize {
-            let sb = 1.0 / norm2(&b).max(1e-12);
-            let sc = 1.0 / norm2(&c).max(1e-12);
-            for v in b.iter_mut() {
-                *v *= sb;
-            }
-            for v in c.iter_mut() {
-                *v *= sc;
-            }
-            (sb, sc)
-        } else {
-            (1.0, 1.0)
-        };
+        let sb = 1.0 / norm2(&b).max(1e-12);
+        let sc = 1.0 / norm2(&c).max(1e-12);
+        for v in b.iter_mut() {
+            *v *= sb;
+        }
+        for v in c.iter_mut() {
+            *v *= sc;
+        }
 
         // --- state ---------------------------------------------------------
         let mut x = match warm {
@@ -425,7 +408,7 @@ impl AdmmSolver {
         };
         let mut s = Vec::new();
         let mut y = Vec::new();
-        let mut rho = st.rho;
+        let mut rho = RHO0;
         let mut warm_duals = false;
         if cache_valid {
             if let Some(w) = reuse.as_deref().and_then(|r| r.warm.as_ref()) {
@@ -488,7 +471,7 @@ impl AdmmSolver {
             .then(|| Anderson::new(&s, &y, rho));
         // The iterate a check reads (and the solve returns) is a plain
         // ADMM output: the step that makes it does not extrapolate.
-        let is_check = |k: usize| k.is_multiple_of(st.check_interval) || k == st.max_iter;
+        let is_check = |k: usize| k.is_multiple_of(CHECK_INTERVAL) || k == st.max_iter;
 
         // Fault-injection state (inert unless `fault-inject` is on):
         // `stall_injected` suppresses convergence acceptance so the
@@ -528,7 +511,7 @@ impl AdmmSolver {
             }
             a.matvec_transpose_into(&tmp, &mut rhs);
             for j in 0..d {
-                rhs[j] += -c[j] / rho + st.prox_eps * x[j];
+                rhs[j] += -c[j] / rho + PROX_EPS * x[j];
             }
             factor.solve_in_place(&mut rhs);
             std::mem::swap(&mut x, &mut rhs);
@@ -536,7 +519,7 @@ impl AdmmSolver {
             // ---- over-relaxation on Ax
             a.matvec_into(&x, &mut ax);
             for i in 0..m {
-                ax_or[i] = st.alpha * ax[i] + (1.0 - st.alpha) * (b[i] - s[i]);
+                ax_or[i] = RELAXATION * ax[i] + (1.0 - RELAXATION) * (b[i] - s[i]);
             }
 
             // ---- s-update: project b − Ax̂ − y/ρ (s is not read again
@@ -634,7 +617,7 @@ impl AdmmSolver {
                 }
 
                 // ---- adaptive rho (residual balancing)
-                if st.adaptive_rho && iter % (st.check_interval * 2) == 0 {
+                if iter % (CHECK_INTERVAL * 2) == 0 {
                     let before = rho;
                     if pri_rel > 10.0 * dua_rel && rho < 1e4 {
                         rho *= 2.0;
@@ -838,7 +821,6 @@ mod tests {
         let solver = AdmmSolver::new(AdmmSettings {
             max_iter: 2,
             eps: 1e-12,
-            ..AdmmSettings::default()
         });
         let sol = solver.solve(&p).unwrap();
         assert_eq!(sol.status, SolveStatus::MaxIterations);

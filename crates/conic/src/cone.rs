@@ -180,9 +180,9 @@ fn project_psd(v: &mut [f64], n: usize) {
     // and `spectral_side` extracts exactly that side by tridiagonal
     // bisection + inverse iteration — skipping the O(n³) accumulation
     // of `Q` and the full QL sweep that dominate a dense `eigh`. The
-    // Sturm counts certify the side is complete; any doubt (side too
-    // large, uncertified residual) falls through to the exact path.
-    if n >= PSD_PARTIAL_MIN_N && gfp_linalg::fastpath::enabled() {
+    // Sturm counts certify the side is complete; any doubt (an
+    // uncertified residual) falls through to the exact path.
+    if n >= PSD_PARTIAL_MIN_N {
         if try_partial_psd(&m, v) {
             static PARTIAL_HIT: telemetry::CounterHandle =
                 telemetry::CounterHandle::new("kernel.eigh_partial.hit");
@@ -214,9 +214,9 @@ fn project_psd(v: &mut [f64], n: usize) {
     //   P = M + Σ_{λ<0} (−λ) v vᵀ     (negative side).
     let nneg = e.values.iter().take_while(|&&l| l < 0.0).count();
     let npos = e.values.iter().rev().take_while(|&&l| l > 0.0).count();
-    // Spectrum-shape counters: how much of each side a partial solver
-    // would have had to enumerate at the fast path's truncation cut
-    // (drives the fast-path side choice and `max_frac` tuning).
+    // Spectrum-shape counters: how much of each side the partial solver
+    // would have had to enumerate at its truncation cut (the side it
+    // resolves is the smaller one).
     if telemetry::enabled() {
         let scale = e.values[0].abs().max(e.values[n - 1].abs());
         let cut = PSD_PARTIAL_TOL * scale;
@@ -285,11 +285,6 @@ pub(crate) const PSD_PARTIAL_MIN_N: usize = 64;
 /// every call.
 const PSD_PARTIAL_TOL: f64 = 1e-9;
 
-/// Largest fraction of the spectrum the partial path will enumerate.
-/// Past this point bisection + inverse iteration costs about as much
-/// as the QL sweep it replaces, so the dense path wins.
-const PSD_PARTIAL_MAX_FRAC: f64 = 0.75;
-
 /// Attempts to project the PSD block via one side of the spectrum:
 /// `spectral_side` picks whichever side of the cut has fewer
 /// eigenvalues (Sturm counts make the choice exact) and certifies
@@ -303,7 +298,7 @@ const PSD_PARTIAL_MAX_FRAC: f64 = 0.75;
 /// adaptive state), so the projection's bits do not depend on the
 /// worker count or on which projections ran before it.
 fn try_partial_psd(m: &gfp_linalg::Mat, v: &mut [f64]) -> bool {
-    let side = match spectral_side(m, PSD_PARTIAL_TOL, PSD_PARTIAL_MAX_FRAC) {
+    let side = match spectral_side(m, PSD_PARTIAL_TOL) {
         Ok(Some(side)) => side,
         _ => return false,
     };

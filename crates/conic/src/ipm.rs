@@ -87,32 +87,31 @@ impl SdpProblem {
     }
 }
 
-/// Barrier method tuning parameters.
+/// Barrier method tuning parameters: the target gap. The barrier
+/// schedule and the Newton centering's tolerance and cap are fixed.
 #[derive(Debug, Clone)]
 pub struct BarrierSettings {
-    /// Initial barrier weight `t`.
-    pub t_init: f64,
-    /// Geometric growth factor for `t`.
-    pub mu: f64,
     /// Target duality-gap bound: stop when `m_barrier / t < eps`.
     pub eps: f64,
-    /// Newton decrement tolerance per centering step.
-    pub newton_tol: f64,
-    /// Newton iteration cap per centering step.
-    pub max_newton: usize,
 }
 
 impl Default for BarrierSettings {
     fn default() -> Self {
-        BarrierSettings {
-            t_init: 1.0,
-            mu: 10.0,
-            eps: 1e-8,
-            newton_tol: 1e-9,
-            max_newton: 60,
-        }
+        BarrierSettings { eps: 1e-8 }
     }
 }
+
+/// Initial barrier weight `t`.
+const T_INIT: f64 = 1.0;
+
+/// Geometric growth factor for `t`.
+const MU: f64 = 10.0;
+
+/// Newton decrement tolerance per centering step.
+const NEWTON_TOL: f64 = 1e-9;
+
+/// Newton iteration cap per centering step.
+const MAX_NEWTON: usize = 60;
 
 /// Result of a barrier solve.
 #[derive(Debug, Clone)]
@@ -162,7 +161,7 @@ impl BarrierSdp {
         let _span = telemetry::span("ipm.solve");
         let t_start = std::time::Instant::now();
         let mut x = x0.to_vec();
-        let mut t = self.settings.t_init;
+        let mut t = T_INIT;
         let m_barrier = problem.n as f64 + problem.ineq.len() as f64;
         let mut total_newton = 0usize;
         let mut centerings = 0usize;
@@ -215,7 +214,7 @@ impl BarrierSdp {
             // exactly that round — bounded because faults fire a
             // finite number of times).
             if !stall_this_round {
-                t *= self.settings.mu;
+                t *= MU;
             }
         }
         let objective: f64 = problem
@@ -254,7 +253,7 @@ impl BarrierSdp {
         let d = p.dim();
         let ne = p.eq.len();
         let mut iters = 0usize;
-        for _ in 0..self.settings.max_newton {
+        for _ in 0..MAX_NEWTON {
             let (grad, hess) = barrier_grad_hess(p, x, t)?;
             // Infeasible-start Newton KKT system:
             //   [H Aᵀ; A 0] [dx; ν] = [−g; b_eq − A x]
@@ -281,7 +280,7 @@ impl BarrierSdp {
             // Newton decrement λ² = −gᵀdx.
             let lambda2: f64 = -grad.iter().zip(dx.iter()).map(|(g, s)| g * s).sum::<f64>();
             iters += 1;
-            if lambda2 / 2.0 < self.settings.newton_tol {
+            if lambda2 / 2.0 < NEWTON_TOL {
                 break;
             }
             // Backtracking line search keeping strict feasibility.

@@ -21,7 +21,7 @@ pub(crate) struct Equilibration {
 }
 
 impl Equilibration {
-    /// The identity scaling (used when equilibration is disabled).
+    /// The identity scaling, where the Ruiz loop starts.
     pub fn identity(rows: usize, cols: usize) -> Self {
         Equilibration {
             d: vec![1.0; rows],

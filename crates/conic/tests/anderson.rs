@@ -13,8 +13,9 @@ use gfp_rand::Rng;
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// A MaxCut-style SDP relaxation on an `n × n` PSD variable:
-/// `min ⟨C, Z⟩` over `diag Z = 1`, `Z ⪰ 0`, with `C` drawn from `seed`.
-fn maxcut_program(n: usize, seed: u64) -> ConeProgram {
+/// `min ⟨C, Z⟩` over `diag Z = diag`, `Z ⪰ 0`, with `C` drawn from
+/// `seed`.
+fn maxcut_program(n: usize, seed: u64, diag: f64) -> ConeProgram {
     let mut rng = Rng::seed_from_u64(seed);
     let mut b = ConeProgramBuilder::new(svec_len(n));
     for j in 0..n {
@@ -27,7 +28,7 @@ fn maxcut_program(n: usize, seed: u64) -> ConeProgram {
         }
     }
     for i in 0..n {
-        b.add_eq(&[(svec_index(n, i, i), 1.0)], 1.0);
+        b.add_eq(&[(svec_index(n, i, i), 1.0)], diag);
     }
     b.add_psd_vars(&(0..svec_len(n)).collect::<Vec<_>>());
     b.build().unwrap()
@@ -50,7 +51,7 @@ fn rejected() -> u64 {
 }
 
 /// Iterations the plain splitting (no acceleration) takes on
-/// `maxcut_program(64, 2)` at eps 1e-5 with default settings,
+/// `maxcut_program(64, 2, 1.0)` at eps 1e-5 with default settings,
 /// measured on the solver before the acceleration existed.
 const PLAIN_ITERATIONS: usize = 1025;
 
@@ -60,7 +61,7 @@ const PLAIN_ITERATIONS: usize = 1025;
 #[test]
 fn acceleration_cuts_the_iterations_of_a_64_block_sdp() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let sol = solve(&maxcut_program(64, 2));
+    let sol = solve(&maxcut_program(64, 2, 1.0));
     assert_eq!(sol.status, SolveStatus::Optimal);
     assert!(
         sol.info.iterations * 100 <= PLAIN_ITERATIONS * 65,
@@ -77,7 +78,7 @@ fn safeguard_reverts_and_the_solve_still_meets_eps() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     gfp_telemetry::set_enabled(true);
     let before = rejected();
-    let sol = solve(&maxcut_program(64, 1));
+    let sol = solve(&maxcut_program(64, 1, 1.0));
     let reverts = rejected() - before;
     gfp_telemetry::set_enabled(false);
     assert!(reverts > 0, "no safeguard revert recorded");
@@ -94,10 +95,24 @@ fn blocks_below_64_keep_the_plain_loop() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     gfp_telemetry::set_enabled(true);
     let before = rejected();
-    let sol = solve(&maxcut_program(63, 1));
+    let sol = solve(&maxcut_program(63, 1, 1.0));
     let reverts = rejected() - before;
     gfp_telemetry::set_enabled(false);
     assert_eq!(reverts, 0);
     assert_eq!(sol.status, SolveStatus::Optimal);
     assert_eq!(sol.info.iterations, PLAIN_63);
+}
+
+/// A penalty change restarts the acceleration: residual balancing
+/// halves ρ at iterations 50 and 100 of this program, and the history
+/// gathered under the old ρ describes a different fixed-point map.
+/// With the restart the solve meets eps in 200 iterations; carrying
+/// the stale history across the change takes 250.
+#[test]
+fn a_penalty_change_restarts_the_acceleration() {
+    const RESTARTED: usize = 200;
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let sol = solve(&maxcut_program(64, 2, 0.01));
+    assert_eq!(sol.status, SolveStatus::Optimal);
+    assert_eq!(sol.info.iterations, RESTARTED);
 }

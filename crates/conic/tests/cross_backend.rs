@@ -60,7 +60,6 @@ fn admm_and_ipm_agree_on_random_sdps() {
         let admm_sol = AdmmSolver::new(AdmmSettings {
             eps: 1e-8,
             max_iter: 50_000,
-            ..AdmmSettings::default()
         })
         .solve(&admm_prob)
         .expect("admm solves");
@@ -143,12 +142,9 @@ fn admm_solution_is_cone_feasible() {
 fn ipm_is_more_accurate_than_loose_admm() {
     let (ipm_prob, admm_prob) = random_instance(4, 5);
     let x0 = svec(&Mat::identity(4));
-    let tight = BarrierSdp::new(BarrierSettings {
-        eps: 1e-10,
-        ..BarrierSettings::default()
-    })
-    .solve_from(&ipm_prob, &x0)
-    .unwrap();
+    let tight = BarrierSdp::new(BarrierSettings { eps: 1e-10 })
+        .solve_from(&ipm_prob, &x0)
+        .unwrap();
     let loose = AdmmSolver::new(AdmmSettings {
         eps: 1e-4,
         ..AdmmSettings::default()

@@ -100,15 +100,9 @@ fn psd_projection_is_bitwise_deterministic_across_worker_counts() {
         }
         // The only other test here that projects a cone of 64 or more
         // holds the same lock, so the counter moves only here: once
-        // per projection above when the partial path ran. With
-        // `GFP_NO_SPECTRAL_FASTPATH` set the dense path is the one
-        // compared.
+        // per projection above when the partial path ran.
         let hits = counter("kernel.eigh_partial.hit") - hits0;
-        let expected = if n >= 64 && gfp_linalg::fastpath::enabled() {
-            3
-        } else {
-            0
-        };
+        let expected = if n >= 64 { 3 } else { 0 };
         assert_eq!(hits, expected, "partial-path projections at n={n}");
     }
 }
@@ -138,7 +132,6 @@ fn solve_sdp() -> (Solution, Vec<IterationStats>) {
     let solver = AdmmSolver::new(AdmmSettings {
         max_iter: 500,
         eps: 1e-9,
-        ..AdmmSettings::default()
     });
     solver.solve_with_trace(&p, None).expect("solve")
 }
@@ -172,7 +165,6 @@ fn solve_large_sdp() -> (Solution, Vec<IterationStats>) {
     let solver = AdmmSolver::new(AdmmSettings {
         max_iter: 150,
         eps: 1e-9,
-        ..AdmmSettings::default()
     });
     solver.solve_with_trace(&p, None).expect("solve")
 }

@@ -93,7 +93,6 @@ impl Default for FloorplannerSettings {
             backend: Backend::Admm(AdmmSettings {
                 eps: 1e-6,
                 max_iter: 20_000,
-                ..AdmmSettings::default()
             }),
             warm_start: true,
             reset_direction: false,
@@ -127,7 +126,6 @@ impl FloorplannerSettings {
             backend: Backend::Admm(AdmmSettings {
                 eps: 1e-5,
                 max_iter: 8000,
-                ..AdmmSettings::default()
             }),
             ..FloorplannerSettings::default()
         }
@@ -161,8 +159,9 @@ pub struct IterTrace {
 /// [`OuterState::rounds`]: the rows are cheap, checkpointed with the
 /// rest of the state, and surface in [`GlobalFloorplan::rounds`] and
 /// `DegradedResult` so reports work without a trace file. The
-/// `fastpath_*` columns read the `kernel.eigh_partial.*` counters,
-/// which only tick while telemetry is enabled; they are 0 otherwise.
+/// `fastpath_*` columns read the `kernel.eigh_partial.*` counters of
+/// the partial-spectrum PSD projection, which only tick while telemetry
+/// is enabled; they are 0 otherwise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundSummary {
     /// Outer round index (0-based).
@@ -195,13 +194,12 @@ pub struct RoundSummary {
     pub primal_residual: f64,
     /// Last sub-problem-1 relative dual residual (`NaN` under IPM).
     pub dual_residual: f64,
-    /// Partial-spectrum accepts this round: sub-problem 2's deflated
-    /// `W` plus ADMM's partial PSD projections (the round's delta of
-    /// `kernel.eigh_partial.hit`). From a 64-dim cone up the
-    /// projections dominate the count.
+    /// ADMM PSD projections this round that the partial-spectrum route
+    /// resolved (the round's delta of `kernel.eigh_partial.hit`); only
+    /// blocks of order 64 and up try that route.
     pub fastpath_hits: u64,
-    /// Partial-spectrum fallbacks to the dense `eigh` this round, from
-    /// the same two sources (the delta of
+    /// PSD projections this round that tried the partial-spectrum route
+    /// and fell back to the dense `eigh` (the delta of
     /// `kernel.eigh_partial.fallback`).
     pub fastpath_fallbacks: u64,
     /// How the round ended: `"rank_certified"`, `"inner_converged"`
@@ -462,7 +460,7 @@ pub fn run_alpha_round(
     let round_t0 = std::time::Instant::now();
     // Cached handles (S2 pattern): `value()` reads are cheap and the
     // deltas give the round's partial-spectrum accepts and fallbacks
-    // (sub-problem 2 and ADMM's PSD projections together).
+    // (ADMM's PSD projections).
     static FASTPATH_HIT: telemetry::CounterHandle =
         telemetry::CounterHandle::new("kernel.eigh_partial.hit");
     static FASTPATH_FALLBACK: telemetry::CounterHandle =
@@ -947,10 +945,7 @@ mod ipm_backend_tests {
         let mut s = FloorplannerSettings::fast();
         s.max_iter = 3;
         s.max_alpha_rounds = 4;
-        s.backend = Backend::Ipm(BarrierSettings {
-            eps: 1e-6,
-            ..BarrierSettings::default()
-        });
+        s.backend = Backend::Ipm(BarrierSettings { eps: 1e-6 });
         let ipm = SdpFloorplanner::new(s).solve(&p).unwrap();
         assert_eq!(ipm.positions.len(), 10);
         assert!(ipm.positions.iter().all(|p| p.0.is_finite() && p.1.is_finite()));

@@ -42,8 +42,7 @@ const STABILIZER_SEED: u64 = 0x5350_4152;
 /// When the sparsifier engages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SparsifyMode {
-    /// Never sparsify: every round plans all pairs (the same
-    /// kill-switch discipline as the spectral fast path).
+    /// Never sparsify: every round plans all pairs.
     Off,
     /// Sparsify when the instance has at least [`AUTO_THRESHOLD`]
     /// modules (default).

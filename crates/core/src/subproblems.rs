@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use gfp_conic::ipm::BarrierSdp;
 use gfp_conic::{AdmmReuse, AdmmSettings, AdmmSolver, SolveStatus};
-use gfp_linalg::{eigh, top_pairs, Mat};
+use gfp_linalg::{eigh, Mat};
 use gfp_telemetry as telemetry;
 
 use crate::iterate::Backend;
@@ -116,16 +116,6 @@ pub fn solve_subproblem1(
     }
 }
 
-/// Smallest lifted dimension `n + 2` worth the partial-spectrum path;
-/// below it a dense `eigh` is already cheap.
-const SP2_FASTPATH_MIN_N: usize = 32;
-/// Relative residual tolerance for accepting the top eigenpairs.
-/// Deliberately tight: `W` feeds the next ADMM objective, and keeping
-/// the fast-path `W` within ~1e-11 of the dense one keeps the two
-/// iterate trajectories on the same ADMM stopping iterations, so a
-/// fast-path-off run reproduces the same final wirelength to ~1e-6.
-const SP2_PARTIAL_TOL: f64 = 1e-11;
-
 /// Solves sub-problem 2 (Eq. 19) in closed form: the minimizer of
 /// `<W, Z>` over `0 ⪯ W ⪯ I`, `trace W = n` is `W = U Uᵀ` with `U`
 /// spanning the eigenvectors of the `n` smallest eigenvalues of `Z`.
@@ -133,17 +123,9 @@ const SP2_PARTIAL_TOL: f64 = 1e-11;
 /// Returns `(W, <W, Z>)`; the inner product is the **rank gap** — it
 /// vanishes exactly when `rank(Z) ≤ 2`.
 ///
-/// Since `U Uᵀ = I − V Vᵀ` with `V` spanning the **two largest**
-/// eigenpairs, large instances take a spectral fast path:
-/// [`gfp_linalg::top_pairs`] returns those two pairs, and
-/// `gap = trace Z − λ₁ − λ₂` by the trace identity. `top_pairs` accepts
-/// only residual-certified pairs whose `λ₂` an exact Sturm count shows
-/// to be separated from `λ₃` (a copy of `λ₂` left out would silently
-/// corrupt the projector); otherwise — and whenever
-/// `GFP_NO_SPECTRAL_FASTPATH` disables the path — the dense `eigh`
-/// route below is used. Fast-path acceptance is counted on
-/// `kernel.eigh_partial.hit`, rejection on
-/// `kernel.eigh_partial.fallback`.
+/// One dense [`eigh`] of `Z` per call, at every size: one per convex
+/// iteration, next to a sub-problem-1 solve whose every ADMM
+/// iteration projects a PSD block of the same order.
 ///
 /// # Errors
 ///
@@ -153,15 +135,7 @@ const SP2_PARTIAL_TOL: f64 = 1e-11;
 ///
 /// Panics if `z_mat` is not `(n+2) x (n+2)`.
 pub fn solve_subproblem2(z_mat: &Mat, n: usize) -> Result<(Mat, f64), FloorplanError> {
-    let nn = n + 2;
-    assert_eq!(z_mat.nrows(), nn, "Z must be (n+2)x(n+2)");
-    if nn >= SP2_FASTPATH_MIN_N && gfp_linalg::fastpath::enabled() {
-        if let Some((w, gap)) = try_deflated_subproblem2(z_mat, nn) {
-            telemetry::counter_add("kernel.eigh_partial.hit", 1);
-            return Ok((w, gap));
-        }
-        telemetry::counter_add("kernel.eigh_partial.fallback", 1);
-    }
+    assert_eq!(z_mat.nrows(), n + 2, "Z must be (n+2)x(n+2)");
     let e = eigh(z_mat)?;
     // Eigenvalues ascend: the first n are the smallest. W = U Uᵀ is a
     // unit-weight spectral sum over those columns; the shared banded
@@ -170,23 +144,6 @@ pub fn solve_subproblem2(z_mat: &Mat, n: usize) -> Result<(Mat, f64), FloorplanE
     let ones = vec![1.0; e.values.len()];
     let w = gfp_linalg::spectral_accumulate(&e.vectors, &ones, 0..n, None);
     Ok((w, gap))
-}
-
-/// The deflated fast path of [`solve_subproblem2`]: `W = I − V Vᵀ`
-/// from the two largest eigenpairs. `None` means "not certified — use
-/// the dense route" and is always safe. A solver error takes the dense
-/// route too, which reports a real input fault itself.
-fn try_deflated_subproblem2(z_mat: &Mat, nn: usize) -> Option<(Mat, f64)> {
-    let top = top_pairs(z_mat, 2, SP2_PARTIAL_TOL).ok()??;
-    // Values ascend within the returned pair: [λ₂, λ₁].
-    let gap = z_mat.trace() - top.values[1] - top.values[0];
-    let w = gfp_linalg::spectral_accumulate(
-        &top.vectors,
-        &[-1.0, -1.0],
-        0..2,
-        Some(&Mat::identity(nn)),
-    );
-    Some((w, gap))
 }
 
 /// Cross-check: solves sub-problem 2 through the generic ADMM conic
@@ -225,7 +182,6 @@ pub fn solve_subproblem2_via_sdp(z_mat: &Mat, n: usize) -> Result<(Mat, f64), Fl
     let sol = AdmmSolver::new(AdmmSettings {
         eps: 1e-7,
         max_iter: 30_000,
-        ..AdmmSettings::default()
     })
     .solve(&program)?;
     let w = smat(&sol.x[..d]);
@@ -315,7 +271,6 @@ mod tests {
             Backend::Admm(AdmmSettings {
                 eps: 1e-5,
                 max_iter: 8000,
-                ..AdmmSettings::default()
             }),
             None,
         );
@@ -338,7 +293,6 @@ mod tests {
         let settings = AdmmSettings {
             eps: 1e-4,
             max_iter: 8000,
-            ..AdmmSettings::default()
         };
         let cold = solve_all_pairs(&p, &obj, Backend::Admm(settings.clone()), None);
         let warm = solve_all_pairs(&p, &obj, Backend::Admm(settings), Some(&cold.z));
@@ -357,7 +311,6 @@ mod tests {
             Backend::Admm(AdmmSettings {
                 eps: 1e-6,
                 max_iter: 40_000,
-                ..AdmmSettings::default()
             }),
             None,
         );

@@ -228,14 +228,10 @@ pub struct SolveSupervisor {
 /// failure the goal is a usable iterate, not peak accuracy.
 fn fallback_backend(primary: &Backend) -> Backend {
     match primary {
-        Backend::Admm(_) => Backend::Ipm(BarrierSettings {
-            eps: 1e-6,
-            ..BarrierSettings::default()
-        }),
+        Backend::Admm(_) => Backend::Ipm(BarrierSettings { eps: 1e-6 }),
         Backend::Ipm(_) => Backend::Admm(AdmmSettings {
             eps: 1e-5,
             max_iter: 8000,
-            ..AdmmSettings::default()
         }),
     }
 }

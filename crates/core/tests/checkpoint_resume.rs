@@ -228,7 +228,6 @@ fn resume_above_the_acceleration_gate_is_bitwise() {
         s.backend = Backend::Admm(AdmmSettings {
             eps: 1e-5,
             max_iter: 150,
-            ..AdmmSettings::default()
         });
         SolveSupervisor::with_supervision(
             s,

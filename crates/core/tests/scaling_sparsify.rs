@@ -38,7 +38,6 @@ fn budgeted(rounds: usize, iters: usize) -> FloorplannerSettings {
     s.backend = gfp_core::iterate::Backend::Admm(gfp_conic::AdmmSettings {
         eps: 1e-4,
         max_iter: 1200,
-        ..gfp_conic::AdmmSettings::default()
     });
     s
 }

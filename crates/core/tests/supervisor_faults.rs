@@ -18,15 +18,12 @@ use std::sync::Mutex;
 
 use gfp_conic::ipm::BarrierSettings;
 use gfp_conic::{AdmmSettings, AdmmSolver, ConeProgram, ConeProgramBuilder, ConicError};
-use gfp_core::lifted::Lift;
-use gfp_core::subproblems::solve_subproblem2;
 use gfp_core::{
     Backend, FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SolveQuality,
     SolveSupervisor, SupervisorSettings,
 };
 use gfp_fault::{FaultKind, FaultPlan, Site};
 use gfp_linalg::svec::{svec_index, svec_len, SQRT2};
-use gfp_linalg::{fastpath, Mat};
 use gfp_netlist::suite;
 use gfp_parallel::{with_pool, ThreadPool};
 use gfp_rand::Rng;
@@ -62,7 +59,6 @@ fn admm_backend_above_gate() -> Backend {
     Backend::Admm(AdmmSettings {
         eps: 1e-5,
         max_iter: 60,
-        ..AdmmSettings::default()
     })
 }
 
@@ -90,15 +86,11 @@ fn admm_backend() -> Backend {
     Backend::Admm(AdmmSettings {
         eps: 1e-5,
         max_iter: 3000,
-        ..AdmmSettings::default()
     })
 }
 
 fn ipm_backend() -> Backend {
-    Backend::Ipm(BarrierSettings {
-        eps: 1e-6,
-        ..BarrierSettings::default()
-    })
+    Backend::Ipm(BarrierSettings { eps: 1e-6 })
 }
 
 /// Minimal budgets: the matrix cares about control flow, not layout
@@ -270,7 +262,6 @@ fn budget_cut_above_the_gate_returns_the_plain_iterate() {
     let capped = AdmmSolver::new(AdmmSettings {
         eps: 1e-5,
         max_iter: 10,
-        ..AdmmSettings::default()
     })
     .solve(&p)
     .unwrap();
@@ -385,102 +376,6 @@ fn injected_faults_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// An injected breakdown of the top-pairs eigensolver must be
-/// *invisible* to the supervisor: sub-problem 2's spectral fast path
-/// falls back to the dense `eigh` route internally, so the run needs no
-/// recovery and ends with the same quality verdict as a clean one. Uses
-/// n30 — the smallest suite instance whose lifted dimension (32)
-/// reaches the fast path at all.
-#[test]
-fn top_pairs_breakdown_falls_back_to_dense_eigh_without_recovery() {
-    let _g = lock();
-    let b = suite::gsrc_n30();
-    let problem =
-        GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default()).unwrap();
-    let mut s = settings(Backend::Admm(AdmmSettings {
-        eps: 1e-4,
-        max_iter: 1500,
-        ..AdmmSettings::default()
-    }));
-    s.max_iter = 2;
-    s.max_alpha_rounds = 1;
-    let sup = SolveSupervisor::new(s);
-
-    gfp_fault::disarm();
-    let clean = sup.solve(&problem);
-
-    let hits_before = gfp_fault::site_hits(Site::TopPairs);
-    gfp_fault::arm(FaultPlan::single(Site::TopPairs, FaultKind::Stall, 1));
-    let faulted = sup.solve(&problem);
-    let fired = gfp_fault::injected_total();
-    gfp_fault::disarm();
-
-    assert!(fired > 0, "top_pairs fault never fired");
-    assert!(
-        gfp_fault::site_hits(Site::TopPairs) > hits_before,
-        "top_pairs site never polled — fast path not reached at n30"
-    );
-    assert_eq!(faulted.floorplan.positions.len(), 30);
-    assert!(
-        faulted
-            .floorplan
-            .positions
-            .iter()
-            .all(|p| p.0.is_finite() && p.1.is_finite()),
-        "top_pairs fallback leaked a non-finite placement"
-    );
-    assert_eq!(
-        faulted.recoveries, 0,
-        "top_pairs breakdown must be absorbed inside sub-problem 2, not recovered"
-    );
-    assert_eq!(
-        faulted.quality, clean.quality,
-        "quality verdict changed under an absorbed top_pairs fault"
-    );
-}
-
-/// An injected `PerturbResidual` at `Site::TopPairs` fails the
-/// certificate, so sub-problem 2 returns the dense route's bits on a
-/// lifted Z (nn = 32) whose clean call takes the fast path.
-#[test]
-fn top_pairs_perturbed_residual_takes_the_dense_route() {
-    let _g = lock();
-    let n = 30;
-    let lift = Lift::new(n);
-    let mut rng = Rng::seed_from_u64(0x5eed_5050);
-    let pos: Vec<(f64, f64)> = (0..n)
-        .map(|_| (20.0 * rng.gen_f64(), 20.0 * rng.gen_f64()))
-        .collect();
-    let zm = lift.z_matrix(&lift.embed_positions(&pos, 0.8));
-    let bits = |(w, gap): (Mat, f64)| -> Vec<u64> {
-        let mut out: Vec<u64> = w.as_slice().iter().map(|v| v.to_bits()).collect();
-        out.push(gap.to_bits());
-        out
-    };
-
-    gfp_fault::disarm();
-    let prev = fastpath::set_enabled(false);
-    let dense = bits(solve_subproblem2(&zm, n).unwrap());
-    fastpath::set_enabled(true);
-    let fast = bits(solve_subproblem2(&zm, n).unwrap());
-    gfp_fault::arm(FaultPlan::single(
-        Site::TopPairs,
-        FaultKind::PerturbResidual,
-        0,
-    ));
-    let perturbed = bits(solve_subproblem2(&zm, n).unwrap());
-    let fired = gfp_fault::injected_total();
-    gfp_fault::disarm();
-    fastpath::set_enabled(prev);
-
-    assert_eq!(fired, 1, "the perturbation must fire on the one call");
-    assert_ne!(fast, dense, "the clean call must take the fast path");
-    assert_eq!(
-        perturbed, dense,
-        "a perturbed residual must send sub-problem 2 down the dense route"
-    );
-}
-
 /// Builds a supervisor that checkpoints into `dir` and cannot converge
 /// early (`eps_rank` unreachable), so the snapshot-write schedule is
 /// deterministic: one write per completed round plus the final one.
@@ -578,23 +473,40 @@ fn torn_and_silently_corrupt_snapshots_are_caught_on_resume() {
 }
 
 /// Seeded plans are reproducible: the same seed yields the same plan,
-/// and an armed seeded plan upholds the no-panic/always-place contract.
+/// and every armed seeded plan upholds the no-panic/always-place
+/// contract. A plan at a site the in-process solve polls (the ADMM
+/// loop, the eigensolvers, the CSR product) must also fire, so the
+/// sweep checks injected faults and not only clean solves; the others
+/// (checkpoint writes, the service, the barrier fallback) never poll
+/// here.
 #[test]
 fn seeded_plan_is_deterministic_and_safe() {
     let _g = lock();
-    let a = FaultPlan::from_seed(0xF00D);
-    let b = FaultPlan::from_seed(0xF00D);
-    assert_eq!(a.specs.len(), b.specs.len());
-    for (x, y) in a.specs.iter().zip(b.specs.iter()) {
-        assert_eq!(x.site, y.site);
-        assert_eq!(x.kind, y.kind);
-        assert_eq!(x.after, y.after);
-    }
     let problem = n10_problem();
-    gfp_fault::arm(FaultPlan::from_seed(0xF00D));
-    let result = supervisor(admm_backend()).solve(&problem);
-    gfp_fault::disarm();
-    assert_placed(&result, "seeded-plan");
+    let polled = [Site::AdmmIter, Site::Eigh, Site::CsrMatvec];
+    let mut fired_sites = Vec::new();
+    for seed in 0..16u64 {
+        let plan = FaultPlan::from_seed(seed);
+        assert_eq!(
+            plan,
+            FaultPlan::from_seed(seed),
+            "seed {seed}: plan not reproducible"
+        );
+        let site = plan.specs[0].site;
+        let label = format!("seed {seed} ({site}+{})", plan.specs[0].kind);
+        gfp_fault::arm(plan);
+        let result = supervisor(admm_backend()).solve(&problem);
+        let fired = gfp_fault::injected_total();
+        gfp_fault::disarm();
+        assert_placed(&result, &label);
+        if polled.contains(&site) {
+            assert!(fired > 0, "{label}: fault never fired");
+            fired_sites.push(site);
+        }
+    }
+    for site in polled {
+        assert!(fired_sites.contains(&site), "no seed drew {site}");
+    }
 }
 
 /// Disarmed means inert: with no plan armed, a supervised solve is

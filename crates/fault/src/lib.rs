@@ -53,17 +53,11 @@ pub enum Site {
     AdmmIter,
     /// Barrier IPM centering-loop boundary (`gfp-conic`, `ipm.rs`).
     IpmNewton,
-    /// Symmetric eigendecomposition entry (`gfp-linalg`, `eigen.rs`).
+    /// Symmetric eigendecomposition entry (`gfp-linalg`: `eigh`,
+    /// `eigvalsh` and the partial `spectral_side`).
     Eigh,
     /// CSR matrix-vector product (`gfp-linalg`, `sparse.rs`).
     CsrMatvec,
-    /// Top-`k` partial eigensolver entry (`gfp-linalg`, `top_pairs` in
-    /// `tridiag.rs`), polled once per call; sub-problem 2's fast path
-    /// is its only caller. `Stall`/`BudgetExhaust` → a convergence
-    /// error, `Nan`/`Inf` → a non-finite input error, `PerturbResidual`
-    /// → the residual certificate fails (`Ok(None)`); each sends
-    /// sub-problem 2 down its dense route.
-    TopPairs,
     /// Durable snapshot write (`gfp-store`, `snapshot.rs`). Kinds map
     /// to storage failures: `Nan`/`Inf`/`Stall` → the write fails with
     /// an injected I/O error (nothing lands on disk), `BudgetExhaust`
@@ -97,12 +91,11 @@ pub enum Site {
 
 impl Site {
     /// Every instrumented site, for matrix-style tests.
-    pub const ALL: [Site; 10] = [
+    pub const ALL: [Site; 9] = [
         Site::AdmmIter,
         Site::IpmNewton,
         Site::Eigh,
         Site::CsrMatvec,
-        Site::TopPairs,
         Site::CheckpointWrite,
         Site::ServiceFrameRead,
         Site::ServiceConnDrop,
@@ -126,7 +119,6 @@ impl Site {
             Site::IpmNewton => "ipm.newton",
             Site::Eigh => "eigh",
             Site::CsrMatvec => "csr.matvec",
-            Site::TopPairs => "top_pairs",
             Site::CheckpointWrite => "checkpoint.write",
             Site::ServiceFrameRead => "service.frame_read",
             Site::ServiceConnDrop => "service.conn_drop",
@@ -142,12 +134,11 @@ impl Site {
             Site::IpmNewton => 1,
             Site::Eigh => 2,
             Site::CsrMatvec => 3,
-            Site::TopPairs => 4,
-            Site::CheckpointWrite => 5,
-            Site::ServiceFrameRead => 6,
-            Site::ServiceConnDrop => 7,
-            Site::ServiceQueueFull => 8,
-            Site::ServiceWorkerDeath => 9,
+            Site::CheckpointWrite => 4,
+            Site::ServiceFrameRead => 5,
+            Site::ServiceConnDrop => 6,
+            Site::ServiceQueueFull => 7,
+            Site::ServiceWorkerDeath => 8,
         }
     }
 }
@@ -306,7 +297,7 @@ mod imp {
     static ARMED: AtomicBool = AtomicBool::new(false);
     static FIRED_TOTAL: AtomicU64 = AtomicU64::new(0);
     const ZERO: AtomicU64 = AtomicU64::new(0);
-    static HITS: [AtomicU64; 10] = [ZERO; 10];
+    static HITS: [AtomicU64; Site::ALL.len()] = [ZERO; Site::ALL.len()];
     static PLAN: Mutex<Vec<ArmedSpec>> = Mutex::new(Vec::new());
 
     pub fn arm(plan: FaultPlan) {

@@ -31,7 +31,6 @@ impl Default for LegalizeSettings {
             admm: AdmmSettings {
                 eps: 1e-6,
                 max_iter: 30_000,
-                ..AdmmSettings::default()
             },
             tol: 5e-3,
         }

@@ -1,7 +1,6 @@
 use crate::{LinalgError, Mat};
 
-/// Result of a symmetric eigendecomposition: `A = V diag(values) Vᵀ`,
-/// or, from [`crate::top_pairs`], the `k` largest of its pairs.
+/// Result of a symmetric eigendecomposition: `A = V diag(values) Vᵀ`.
 ///
 /// Eigenvalues are sorted in ascending order; column `k` of
 /// [`vectors`](Eigh::vectors) is the unit eigenvector for `values[k]`.
@@ -87,9 +86,7 @@ fn ql_input(a: &Mat) -> Result<Option<Mat>, LinalgError> {
     if square_dim(a)? == 0 {
         return Ok(None);
     }
-    // The QL iteration certifies no residual, so an injected
-    // `PerturbResidual` has nothing to act on here.
-    symmetric_copy(a, gfp_fault::Site::Eigh, "tqli", "eigh input").map(|(z, _)| Some(z))
+    symmetric_copy(a, "tqli", "eigh input").map(Some)
 }
 
 /// The dimension of square `a`; [`LinalgError::NotSquare`] otherwise.
@@ -105,33 +102,33 @@ pub(crate) fn square_dim(a: &Mat) -> Result<usize, LinalgError> {
 }
 
 /// A symmetrized working copy of `a` (callers may pass
-/// nearly-symmetric input), behind the fault hook at `site` and the
+/// nearly-symmetric input), behind the `Site::Eigh` fault hook and the
 /// NaN/Inf guard. An injected stall or exhausted budget surfaces as
 /// `NoConvergence { method }`; injected NaN/Inf, like non-finite input,
-/// as `NonFinite { what }`. The flag says an injected `PerturbResidual`
-/// fired, which only a caller with a residual certificate can act on.
+/// as `NonFinite { what }`. An injected `PerturbResidual` is ignored:
+/// the QL iteration has no residual to perturb, and [`spectral_side`]
+/// treats this site exactly as `eigh` does.
+///
+/// [`spectral_side`]: crate::spectral_side
 pub(crate) fn symmetric_copy(
     a: &Mat,
-    site: gfp_fault::Site,
     method: &'static str,
     what: &'static str,
-) -> Result<(Mat, bool), LinalgError> {
+) -> Result<Mat, LinalgError> {
     let mut z = a.clone();
     z.symmetrize_mut();
     // Fault-injection hook (no-op unless the `fault-inject` feature is
     // on): corrupts the working copy or simulates a stall, always
     // upstream of the guard below so it is what gets exercised.
-    let mut residual_perturbed = false;
-    if let Some(fired) = gfp_fault::corrupt_first(site, z.as_mut_slice()) {
-        match fired.kind {
-            gfp_fault::FaultKind::Stall | gfp_fault::FaultKind::BudgetExhaust => {
-                return Err(LinalgError::NoConvergence {
-                    method,
-                    iterations: 0,
-                });
-            }
-            gfp_fault::FaultKind::PerturbResidual => residual_perturbed = true,
-            _ => {}
+    if let Some(fired) = gfp_fault::corrupt_first(gfp_fault::Site::Eigh, z.as_mut_slice()) {
+        if matches!(
+            fired.kind,
+            gfp_fault::FaultKind::Stall | gfp_fault::FaultKind::BudgetExhaust
+        ) {
+            return Err(LinalgError::NoConvergence {
+                method,
+                iterations: 0,
+            });
         }
     }
     // Breakdown guard: NaN/Inf input would send the QL iteration or a
@@ -140,7 +137,7 @@ pub(crate) fn symmetric_copy(
     if !z.as_slice().iter().all(|v| v.is_finite()) {
         return Err(LinalgError::NonFinite { what });
     }
-    Ok((z, residual_perturbed))
+    Ok(z)
 }
 
 /// Flop floor (`n²·p/2` weighted dot products) below which
@@ -486,8 +483,9 @@ pub fn spectral_accumulate(
             }
         };
         // Adaptive cutover on the triangular dot-product work n²p/2:
-        // few selected columns (the deflation fast path has p = 2)
-        // make per-band work too small to amortize pool dispatch.
+        // few selected columns (a projection's small side can hold one
+        // or two) make per-band work too small to amortize pool
+        // dispatch.
         let work = n * n / 2 * p;
         if gfp_parallel::should_parallelize(
             work,

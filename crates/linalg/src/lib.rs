@@ -3,7 +3,7 @@
 //! This crate is the numerical substrate for the SDP-based global
 //! floorplanner: it provides the dense [`Mat`] type, symmetric
 //! eigendecomposition ([`eigh`]) and one certified partial eigensolver
-//! ([`spectral_side`], [`top_pairs`]), triangular factorizations
+//! ([`spectral_side`]), triangular factorizations
 //! ([`Cholesky`], [`Ldlt`], [`Lu`]), a compressed sparse row
 //! matrix ([`sparse::CsrMat`]) with its minimum-degree sparse
 //! Cholesky factor ([`SparseCholesky`]) and the scaled symmetric
@@ -44,7 +44,6 @@ mod mat;
 mod sparse_chol;
 mod tridiag;
 
-pub mod fastpath;
 pub mod sparse;
 pub mod svec;
 pub mod vec_ops;
@@ -55,7 +54,7 @@ pub use error::LinalgError;
 pub use lu::Lu;
 pub use mat::Mat;
 pub use sparse_chol::SparseCholesky;
-pub use tridiag::{spectral_side, top_pairs, SideKind, SpectralSide};
+pub use tridiag::{spectral_side, SideKind, SpectralSide};
 
 /// Starts a wall-clock sample for a kernel-level telemetry counter,
 /// but only when telemetry is enabled (zero cost otherwise).

@@ -1,24 +1,22 @@
 //! Partial symmetric eigensolver via tridiagonal bisection and inverse
 //! iteration.
 //!
-//! Two entries share one solver. [`spectral_side`] answers the question
-//! the PSD-cone projection actually asks: *which eigenvalues of `A` are
-//! significantly negative (or positive), and what is their invariant
-//! subspace?* [`top_pairs`] returns the `k` largest eigenpairs, which
-//! is all sub-problem 2 needs. Both Householder-reduce `A` to
-//! tridiagonal form **without** forming the accumulated `Q` (half the
-//! cost of a full [`crate::eigh`]), locate eigenvalues with Sturm
-//! sequences, extract the wanted pairs by bisection + tridiagonal
-//! inverse iteration, and apply the stored reflectors to the skinny
-//! eigenvector block instead of ever materialising `Q`.
+//! [`spectral_side`] answers the question the PSD-cone projection
+//! actually asks: *which eigenvalues of `A` are significantly negative
+//! (or positive), and what is their invariant subspace?* It
+//! Householder-reduces `A` to tridiagonal form **without** forming the
+//! accumulated `Q` (half the cost of a full [`crate::eigh`]), locates
+//! eigenvalues with Sturm sequences, extracts the wanted pairs by
+//! bisection + tridiagonal inverse iteration, and applies the stored
+//! reflectors to the skinny eigenvector block instead of ever
+//! materialising `Q`.
 //!
 //! The Sturm counts are *exact* (they are pivot sign counts of
-//! `T − xI`, not a convergence heuristic), so the routines can certify
+//! `T − xI`, not a convergence heuristic), so the routine can certify
 //! what a Krylov method cannot: that the returned pairs are the
-//! **complete** set beyond the projection's cut, or that the `k`-th
-//! largest eigenvalue is separated from the next one. Every returned
-//! pair additionally carries an explicit tridiagonal residual check;
-//! any doubt returns `Ok(None)` and the caller runs the dense path.
+//! **complete** set beyond the projection's cut. Every returned pair
+//! additionally carries an explicit tridiagonal residual check; any
+//! doubt returns `Ok(None)` and the caller runs the dense path.
 //!
 //! Everything here is deterministic: fixed-seed inverse-iteration
 //! starts, fixed bisection order, sequential Gram–Schmidt. The
@@ -30,8 +28,7 @@
 use std::ops::Range;
 
 use crate::eigen::{square_dim, symmetric_copy, tred2_reduce};
-use crate::{Eigh, LinalgError, Mat};
-use gfp_fault::Site;
+use crate::{LinalgError, Mat};
 use gfp_rand::Rng;
 
 /// Which extreme of the spectrum a [`SpectralSide`] describes.
@@ -90,10 +87,7 @@ const BISECT_REL_TOL: f64 = 1e-6;
 /// `dstein`'s cluster policy). Pairs separated by more than this are
 /// orthogonal for free: the cross-contamination of certified vectors
 /// is bounded by residual/gap ≤ 1e-9/1e-2 = 1e-7, below the
-/// projection's own truncation error. [`top_pairs`] demands the same
-/// separation between the last returned eigenvalue and the first one
-/// left out, so its block is orthogonal to the rest of the spectrum by
-/// the same bound.
+/// projection's own truncation error.
 const ORTHO_REL_WINDOW: f64 = 1e-2;
 
 /// `A` Householder-reduced to the symmetric tridiagonal `T = (d, e)`,
@@ -110,26 +104,21 @@ struct Tridiagonal {
     e: Vec<f64>,
     /// Gershgorin bound on the spectral radius.
     scale: f64,
-    /// An injected `PerturbResidual` fired at the entry's fault site.
-    /// [`top_pairs`] then fails its certificate; [`spectral_side`],
-    /// which shares `eigh`'s site, ignores it as `eigh` does.
-    residual_perturbed: bool,
     /// Started before the reduction; closed by [`Self::record`].
     timer: Option<std::time::Instant>,
 }
 
 impl Tridiagonal {
-    /// The prelude both entries share: a symmetrized copy of `a` behind
-    /// the fault hook at `site` and the NaN/Inf guard, reduced by
+    /// [`spectral_side`]'s prelude: a symmetrized copy of `a` behind
+    /// `eigh`'s fault hook and the NaN/Inf guard, reduced by
     /// `tred2_reduce`, with the Gershgorin bound.
-    fn reduce(
-        a: &Mat,
-        site: Site,
-        method: &'static str,
-        what: &'static str,
-    ) -> Result<Self, LinalgError> {
+    fn reduce(a: &Mat) -> Result<Self, LinalgError> {
         let timer = crate::kernel_timer();
-        let (mut q, residual_perturbed) = symmetric_copy(a, site, method, what)?;
+        // Same fault surface as `eigh`: this routine replaces it on the
+        // projection hot path, so injected eigendecomposition faults
+        // must reach it too (a stall here falls back to the dense
+        // route).
+        let mut q = symmetric_copy(a, "spectral_side", "spectral_side input")?;
         let n = q.nrows();
         let mut hh = vec![0.0; n];
         let mut e = vec![0.0; n];
@@ -147,13 +136,11 @@ impl Tridiagonal {
             d,
             e,
             scale,
-            residual_perturbed,
             timer,
         })
     }
 
-    /// Closes the call's `kernel.spectral_side` wall-time sample; both
-    /// entries count as that kernel.
+    /// Closes the call's `kernel.spectral_side` wall-time sample.
     fn record(&self) {
         crate::kernel_record("spectral_side", self.timer);
     }
@@ -274,10 +261,11 @@ impl Tridiagonal {
 /// a Gershgorin bound on the spectral radius.
 ///
 /// Returns `Ok(None)` — *compute the dense decomposition instead* —
-/// when the smaller side still holds more than `max_frac · n`
-/// eigenvalues, or when inverse iteration cannot certify every pair
-/// (tridiagonal residual above `rel_cut·scale`, or a collapsed basis
-/// in a tight cluster). Eigenvalues inside `(−cut, +cut)` are never
+/// when `n` is below the partial solver's minimum size, or when
+/// inverse iteration cannot certify every pair (tridiagonal residual
+/// above `rel_cut·scale`, or a collapsed basis in a tight cluster).
+/// The two sides are disjoint, so the smaller one never holds more
+/// than `n/2` eigenvalues. Eigenvalues inside `(−cut, +cut)` are never
 /// resolved; callers treat them as zero, which is exactly the
 /// truncation the PSD projection already permits at this tolerance.
 ///
@@ -286,19 +274,12 @@ impl Tridiagonal {
 /// [`LinalgError::NotSquare`] for non-square input and
 /// [`LinalgError::NonFinite`] for NaN/Inf input; an injected
 /// `Site::Eigh` stall surfaces as [`LinalgError::NoConvergence`].
-pub fn spectral_side(
-    a: &Mat,
-    rel_cut: f64,
-    max_frac: f64,
-) -> Result<Option<SpectralSide>, LinalgError> {
+pub fn spectral_side(a: &Mat, rel_cut: f64) -> Result<Option<SpectralSide>, LinalgError> {
     let n = square_dim(a)?;
     if n < MIN_N {
         return Ok(None);
     }
-    // Same fault surface as `eigh`: this routine replaces it on the
-    // projection hot path, so injected eigendecomposition faults must
-    // reach it too (a stall here falls back to the dense route).
-    let t = Tridiagonal::reduce(a, Site::Eigh, "spectral_side", "spectral_side input")?;
+    let t = Tridiagonal::reduce(a)?;
     let scale = t.scale;
     if scale == 0.0 {
         // Zero matrix: nothing beyond any cut on either side.
@@ -321,10 +302,6 @@ pub fn spectral_side(
     } else {
         (SideKind::Positive, n_pos, n_neg)
     };
-    if count as f64 > max_frac * n as f64 {
-        t.record();
-        return Ok(None);
-    }
     // All of this side's eigenvalues lie between the Gershgorin bound
     // and the cut, so the bracket is half the naive ±scale.
     let (targets, blo, bhi) = match kind {
@@ -340,47 +317,6 @@ pub fn spectral_side(
         scale,
         other_count,
     }))
-}
-
-/// Computes the `k` largest eigenpairs of symmetric `a`, values
-/// ascending, with the certificates of [`spectral_side`]: every pair's
-/// tridiagonal residual is at most `rel_tol·scale`, where `scale` is a
-/// Gershgorin bound on the spectral radius.
-///
-/// Returns `Ok(None)` — *compute the dense decomposition instead* —
-/// when `k` is 0 or not below `n`, when `n` is below the partial
-/// solver's minimum size, when a pair fails its certificate, or unless
-/// one exact Sturm count shows that the `(k+1)`-th largest eigenvalue
-/// lies more than `ORTHO_REL_WINDOW·scale` (1e-2) below the `k`-th. That
-/// separation makes the returned block span the top-`k` invariant
-/// subspace: a copy of the `k`-th eigenvalue left out, or a neighbor
-/// close enough to mix into its vector, refuses the fast route.
-///
-/// # Errors
-///
-/// [`LinalgError::NotSquare`] for non-square input and
-/// [`LinalgError::NonFinite`] for NaN/Inf input; an injected
-/// `Site::TopPairs` stall surfaces as [`LinalgError::NoConvergence`],
-/// and an injected `PerturbResidual` there returns `Ok(None)`.
-pub fn top_pairs(a: &Mat, k: usize, rel_tol: f64) -> Result<Option<Eigh>, LinalgError> {
-    let n = square_dim(a)?;
-    if k == 0 || k >= n || n < MIN_N {
-        return Ok(None);
-    }
-    let t = Tridiagonal::reduce(a, Site::TopPairs, "top_pairs", "top_pairs input")?;
-    let scale = t.scale;
-    // The zero matrix has no separated top: every eigenvalue is equal.
-    // An injected residual perturbation fails the certificate.
-    let got = if scale > 0.0 && !t.residual_perturbed {
-        t.certify_range(n - k..n, -scale, scale, rel_tol * scale)
-    } else {
-        None
-    };
-    // Separation: exactly n − k eigenvalues lie below λ_k − window.
-    let window = ORTHO_REL_WINDOW * scale;
-    let got = got.filter(|(values, _)| sturm_count(&t.d, &t.e, values[0] - window) == n - k);
-    t.record();
-    Ok(got.map(|(values, vectors)| Eigh { values, vectors }))
 }
 
 /// Number of eigenvalues of the tridiagonal `(d, e)` strictly below
@@ -854,7 +790,7 @@ mod tests {
     /// same projector onto the side's subspace.
     fn check_against_dense(m: &Mat, rel_cut: f64) {
         let n = m.nrows();
-        let side = spectral_side(m, rel_cut, 1.0)
+        let side = spectral_side(m, rel_cut)
             .expect("spectral_side failed")
             .expect("dense fallback requested unexpectedly");
         let dense = eigh(m).unwrap();
@@ -940,7 +876,7 @@ mod tests {
             }
         }
         let m = x.matmul(&x.transpose());
-        let side = spectral_side(&m, 1e-9, 1.0).unwrap().unwrap();
+        let side = spectral_side(&m, 1e-9).unwrap().unwrap();
         assert_eq!(side.kind, SideKind::Negative);
         assert!(side.values.is_empty(), "PSD Gram has no negative side");
         assert_eq!(side.other_count, 3);
@@ -958,7 +894,7 @@ mod tests {
         lam[1] = -3.0;
         lam[2] = -3.0;
         let m = crate::spectral_accumulate(&basis, &lam, 0..n, None);
-        let side = spectral_side(&m, 1e-9, 1.0).unwrap().unwrap();
+        let side = spectral_side(&m, 1e-9).unwrap().unwrap();
         assert_eq!(side.kind, SideKind::Negative);
         assert_eq!(side.values.len(), 3);
         for v in &side.values {
@@ -969,19 +905,9 @@ mod tests {
 
     #[test]
     fn zero_matrix_reports_empty_side() {
-        let side = spectral_side(&Mat::zeros(16, 16), 1e-9, 1.0)
-            .unwrap()
-            .unwrap();
+        let side = spectral_side(&Mat::zeros(16, 16), 1e-9).unwrap().unwrap();
         assert!(side.values.is_empty());
         assert_eq!(side.other_count, 0);
-    }
-
-    #[test]
-    fn respects_max_frac() {
-        // Symmetric spectrum: both sides hold ~n/2 — a max_frac of 0.25
-        // must route to the dense path.
-        let m = random_sym(17, 32);
-        assert!(spectral_side(&m, 1e-9, 0.25).unwrap().is_none());
     }
 
     #[test]
@@ -1041,70 +967,12 @@ mod tests {
         }
     }
 
-    /// `A = B diag(lam) Bᵀ` for the orthonormal eigenbasis `B` of a
-    /// seeded random matrix: a symmetric matrix with a chosen spectrum.
-    fn with_spectrum(seed: u64, lam: &[f64]) -> Mat {
-        let n = lam.len();
-        let basis = eigh(&random_sym(seed, n)).unwrap().vectors;
-        crate::spectral_accumulate(&basis, lam, 0..n, None)
-    }
-
-    #[test]
-    fn top_pairs_match_dense_largest() {
-        let n = 60;
-        let a = random_sym(7, n);
-        let dense = eigh(&a).unwrap();
-        let top = top_pairs(&a, 3, 1e-10).unwrap().expect("separated top-3");
-        let radius = dense.values[n - 1].abs().max(dense.values[0].abs());
-        assert_eq!(top.values.len(), 3);
-        assert_eq!(top.vectors.ncols(), 3);
-        for (got, want) in top.values.iter().zip(&dense.values[n - 3..]) {
-            assert!((got - want).abs() <= 1e-9 * radius, "got {got}, want {want}");
-        }
-        let ones = vec![1.0; n];
-        let p_part = crate::spectral_accumulate(&top.vectors, &ones, 0..3, None);
-        let p_dense = crate::spectral_accumulate(&dense.vectors, &ones, n - 3..n, None);
-        let diff = (&p_part - &p_dense).norm_max();
-        assert!(diff < 1e-7, "projector mismatch: {diff:.3e}");
-    }
-
-    #[test]
-    fn top_pairs_repeat_calls_are_bitwise() {
-        let a = random_sym(11, 80);
-        let p1 = top_pairs(&a, 2, 1e-11).unwrap().unwrap();
-        let p2 = top_pairs(&a, 2, 1e-11).unwrap().unwrap();
-        for (x, y) in p1.values.iter().zip(&p2.values) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(p1.vectors.as_slice().len(), p2.vectors.as_slice().len());
-        for (x, y) in p1.vectors.as_slice().iter().zip(p2.vectors.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn top_pairs_residuals_hold_on_the_matrix() {
-        // The certificate is on T against a Gershgorin bound, which is
-        // at most 3× the spectral radius; checked here explicitly on A.
-        let n = 72;
-        let a = random_sym(5, n);
-        let rel_tol = 1e-11;
-        let top = top_pairs(&a, 2, rel_tol).unwrap().unwrap();
-        let dense = eigh(&a).unwrap();
-        let radius = dense.values[n - 1].abs().max(dense.values[0].abs());
-        for (j, &lam) in top.values.iter().enumerate() {
-            let v: Vec<f64> = (0..n).map(|i| top.vectors[(i, j)]).collect();
-            let av = a.matvec(&v);
-            let r = av.iter().zip(&v).map(|(x, y)| (x - lam * y).powi(2)).sum::<f64>().sqrt();
-            assert!(r <= 3.0 * rel_tol * radius * 1.01, "residual {r:.3e} for λ = {lam}");
-        }
-    }
-
     #[test]
     fn spectral_accumulate_accepts_partial_vectors() {
-        // The deflation consumers build W = I − VVᵀ straight from the
-        // partial vector block; make sure shapes line up. Rank-2 Gram
-        // matrix plus a small identity: spectrum {big, big, eps...}.
+        // The projection consumers build sums straight from the partial
+        // vector block; make sure shapes line up. Rank-2 Gram matrix
+        // minus a small identity: spectrum {big, big, −1e-3, ...}, so
+        // the positive side is the two-column block.
         let n = 40;
         let mut rng = Rng::seed_from_u64(2);
         let mut x = Mat::zeros(n, 2);
@@ -1113,11 +981,13 @@ mod tests {
         }
         let mut g = x.matmul(&x.transpose());
         for i in 0..n {
-            g[(i, i)] += 1e-9;
+            g[(i, i)] -= 1e-3;
         }
-        let top = top_pairs(&g, 2, 1e-8).unwrap().unwrap();
+        let side = spectral_side(&g, 1e-8).unwrap().unwrap();
+        assert_eq!(side.kind, SideKind::Positive);
+        assert_eq!(side.vectors.ncols(), 2);
         let w =
-            crate::spectral_accumulate(&top.vectors, &[-1.0, -1.0], 0..2, Some(&Mat::identity(n)));
+            crate::spectral_accumulate(&side.vectors, &[-1.0, -1.0], 0..2, Some(&Mat::identity(n)));
         // W is the projector complement: trace = n − 2, idempotent.
         assert!((w.trace() - (n - 2) as f64).abs() < 1e-6);
         let diff = (&w.matmul(&w) - &w).norm_max();
@@ -1125,75 +995,22 @@ mod tests {
     }
 
     #[test]
-    fn top_pairs_refuse_a_tied_kth_eigenvalue() {
-        // λ₁ = λ₂ = λ₃ = 5 over a floor of 1: the top-2 subspace is not
-        // unique, so k = 2 must refuse; k = 3 is separated and accepted.
-        let n = 40;
-        let mut lam = vec![1.0; n];
-        lam[n - 3..].fill(5.0);
-        let a = with_spectrum(13, &lam);
-        assert!(top_pairs(&a, 2, 1e-11).unwrap().is_none());
-        let top = top_pairs(&a, 3, 1e-11).unwrap().expect("separated top-3");
-        for v in &top.values {
-            assert!((v - 5.0).abs() < 1e-9, "cluster eigenvalue {v}");
-        }
-        // A neighbor inside the cluster window (1e-3 below λ₂ against a
-        // window of 1e-2 of the scale) refuses too; the zero matrix and
-        // a flat spectrum have no separated top at all.
-        lam[n - 3] = 5.0 - 1e-3;
-        assert!(top_pairs(&with_spectrum(13, &lam), 2, 1e-11).unwrap().is_none());
-        assert!(top_pairs(&Mat::zeros(n, n), 2, 1e-11).unwrap().is_none());
-        let mut flat = Mat::identity(n);
-        flat.scale_mut(5.0);
-        assert!(top_pairs(&flat, 2, 1e-11).unwrap().is_none());
-    }
-
-    #[test]
-    fn top_pairs_out_of_range_k_takes_the_dense_route() {
-        let a = random_sym(29, 24);
-        for k in [0, 24, 25] {
-            assert!(top_pairs(&a, k, 1e-11).unwrap().is_none(), "k = {k}");
-        }
-        // Below the partial solver's minimum size, too.
-        assert!(top_pairs(&random_sym(29, MIN_N - 1), 2, 1e-11).unwrap().is_none());
-    }
-
-    #[test]
-    fn top_pairs_reject_nan_and_non_square_input() {
-        let mut a = random_sym(31, 24);
-        a[(3, 5)] = f64::NAN;
-        assert!(matches!(
-            top_pairs(&a, 2, 1e-11),
-            Err(LinalgError::NonFinite { .. })
-        ));
-        assert!(matches!(
-            top_pairs(&Mat::zeros(24, 23), 2, 1e-11),
-            Err(LinalgError::NotSquare { rows: 24, cols: 23 })
-        ));
-    }
-
-    #[test]
     fn bitwise_deterministic_across_worker_counts() {
-        // k = 8 puts two groups of four eigenvectors through the
-        // reflector application, so top_pairs crosses its pool cutover.
+        // A symmetric spectrum puts about n/2 eigenvectors through the
+        // bisection and the reflector application, so both cross their
+        // pool cutovers.
         let m = random_sym(23, 160);
-        let mut runs: Vec<[Vec<f64>; 4]> = Vec::new();
+        let mut runs: Vec<[Vec<f64>; 2]> = Vec::new();
         let prev = gfp_parallel::set_host_clamp(false);
         for workers in [1usize, 2, 8] {
             let pool = gfp_parallel::ThreadPool::new(workers);
             runs.push(gfp_parallel::with_pool(&pool, || {
-                let side = spectral_side(&m, 1e-9, 1.0).unwrap().unwrap();
-                let top = top_pairs(&m, 8, 1e-11).unwrap().unwrap();
-                [
-                    side.values,
-                    side.vectors.as_slice().to_vec(),
-                    top.values,
-                    top.vectors.as_slice().to_vec(),
-                ]
+                let side = spectral_side(&m, 1e-9).unwrap().unwrap();
+                [side.values, side.vectors.as_slice().to_vec()]
             }));
         }
         gfp_parallel::set_host_clamp(prev);
-        let what = ["side values", "side vectors", "top values", "top vectors"];
+        let what = ["side values", "side vectors"];
         for run in &runs[1..] {
             for ((got, want), what) in run.iter().zip(&runs[0]).zip(what) {
                 assert_eq!(got.len(), want.len(), "{what}: length diverged");

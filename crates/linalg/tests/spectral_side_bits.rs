@@ -2,7 +2,7 @@
 //! projection.
 //!
 //! Each case hashes, with FNV-1a over `to_bits`, everything
-//! `spectral_side(a, 1e-9, 0.75)` returns — the side, its eigenvalues,
+//! `spectral_side(a, 1e-9)` returns — the side, its eigenvalues,
 //! its eigenvector block, the Gershgorin scale and the other side's
 //! count — for a seeded symmetric matrix at n = 64, 102 and 202 (the
 //! last two are the cone sizes the hierarchical n500 and flat n200
@@ -11,8 +11,9 @@
 //! positive side are resolved.
 //!
 //! The constants were computed before `spectral_side` was split into a
-//! shared prelude and a range core, so they pin that every refactoring
-//! of the solver keeps the projection's eigenpairs bitwise. Inputs are
+//! prelude and a range core, and before its unreachable `max_frac`
+//! refusal was dropped, so they pin that every refactoring of the
+//! solver keeps the projection's eigenpairs bitwise. Inputs are
 //! drawn from `gfp-rand` and the solver uses only IEEE arithmetic and
 //! `sqrt`, so the digests do not depend on the platform's libm. A
 //! failure lists the digest of every case on this host.
@@ -74,7 +75,7 @@ fn random_sym(seed: u64, n: usize, shift: f64) -> Mat {
 /// The case's digest and the side it resolved (`None`: dense route).
 fn digest(a: &Mat) -> (u64, Option<SideKind>) {
     let mut h = Fnv::new();
-    let side = spectral_side(a, 1e-9, 0.75).expect("finite square input");
+    let side = spectral_side(a, 1e-9).expect("finite square input");
     match &side {
         None => h.word(u64::MAX),
         Some(side) => {

@@ -34,17 +34,10 @@ echo "== no-default-features build =="
 # sinks, fault hooks) disabled — guards against accidental hard deps.
 cargo build --workspace --no-default-features
 
-echo "== workspace tests (GFP_THREADS=2, spectral fast path on) =="
+echo "== kernel crate tests (GFP_THREADS=2) =="
 # Re-run the kernel-heavy crates with a 2-worker pool: exercises the
 # parallel dispatch paths and the bitwise determinism contract.
 GFP_THREADS=2 cargo test -q -p gfp-parallel -p gfp-linalg -p gfp-conic
-
-echo "== workspace tests (GFP_THREADS=2, spectral fast path off) =="
-# Same crates plus the core solver with the deflated eigensolver and
-# partial PSD projection disabled: everything must pass on the dense
-# routes too (the fast path is an optimization, never a dependency).
-GFP_NO_SPECTRAL_FASTPATH=1 GFP_THREADS=2 \
-    cargo test -q -p gfp-parallel -p gfp-linalg -p gfp-conic -p gfp-core
 
 echo "== crash recovery + ingestion torture (GFP_THREADS=2) =="
 # Process-level kill-and-resume matrix (the harness binary aborts

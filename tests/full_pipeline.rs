@@ -36,7 +36,6 @@ fn tiny_legalize() -> LegalizeSettings {
         admm: gfp::conic::AdmmSettings {
             eps: 1e-4,
             max_iter: 3000,
-            ..gfp::conic::AdmmSettings::default()
         },
         ..LegalizeSettings::default()
     }

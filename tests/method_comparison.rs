@@ -87,7 +87,6 @@ fn tiny_legalize() -> LegalizeSettings {
         admm: gfp::conic::AdmmSettings {
             eps: 2e-4,
             max_iter: 1500,
-            ..gfp::conic::AdmmSettings::default()
         },
         ..LegalizeSettings::default()
     }

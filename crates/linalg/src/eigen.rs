@@ -31,8 +31,11 @@ impl Eigh {
 /// QL algorithm, both operating on the full accumulated transformation,
 /// so the returned eigenvectors are orthonormal to machine precision.
 ///
-/// Only the lower triangle of `a` is referenced; the matrix is treated
-/// as exactly symmetric.
+/// Both triangles of `a` are read: the routine decomposes the
+/// symmetric part of `a`, the copy whose `(i,j)` and `(j,i)` entries
+/// are both `0.5·(a[(i,j)] + a[(j,i)])` ([`Mat::symmetrize_mut`]), so
+/// a nearly symmetric input and that symmetrized copy give bitwise the
+/// same result.
 ///
 /// # Errors
 ///
@@ -149,8 +152,9 @@ const SPECTRAL_PARALLEL_WORK: usize = 64 * 64 * 16;
 /// Cheaper than [`eigh`]: the Householder reduction skips forming `Q`
 /// and the QL sweep accumulates no rotations. The values are bitwise
 /// identical to [`eigh`]'s, since both run the same reduction and the
-/// same QL recurrence on `d` and `e`. Calls count as `eigh` calls in
-/// the kernel telemetry.
+/// same QL recurrence on `d` and `e`. Like [`eigh`], it reads both
+/// triangles and decomposes the symmetric part of `a`. Calls count as
+/// `eigh` calls in the kernel telemetry.
 ///
 /// # Errors
 ///
@@ -206,101 +210,180 @@ pub(crate) fn tred2(a: &mut Mat, d: &mut [f64], e: &mut [f64]) {
 /// left holding whatever the reduction last wrote; nothing reads them.
 ///
 /// `a` must be exactly symmetric (both callers symmetrize their
-/// working copy first). The trailing block is then kept fully
-/// symmetric, so step `i` reads `(A·u)_j` along row `j` instead of
-/// down column `j`, and the rank-2 update streams whole rows. Every
+/// working copy first). Runs [`tred2_reduce_portable`]'s one loop,
+/// compiled for AVX2 when the host has it: the same IEEE operations in
+/// the same order on wider vectors (no FMA, and Rust never contracts
+/// `a*b + c`), so both builds store the same bits.
+pub(crate) fn tred2_reduce(a: &mut Mat, hh: &mut [f64], e: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `tred2_reduce_avx2` needs AVX2 and nothing else, and
+        // the host has just been checked for it.
+        return unsafe { tred2_reduce_avx2(a, hh, e) };
+    }
+    tred2_reduce_portable(a, hh, e)
+}
+
+/// [`tred2_reduce_portable`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tred2_reduce_avx2(a: &mut Mat, hh: &mut [f64], e: &mut [f64]) {
+    tred2_reduce_portable(a, hh, e)
+}
+
+/// The body of [`tred2_reduce`], inlined into each build of it.
+///
+/// The trailing block is kept fully symmetric, so `(A·u)_k` can be
+/// accumulated row by row (`Σ_j a[(j,k)]·u_j`, an axpy per row)
+/// instead of walking down column `k`, and each Householder step
+/// sweeps the block once: step `i` updates row `i−1` first and turns it
+/// into step `i−1`'s reflector `u'`, then streams rows `0..i−1` in
+/// ascending order, applying its own rank-2 update to each row and
+/// adding the updated row's term `a[(j,·)]·u'_j` into step `i−1`'s
+/// product. A step whose predecessor was skipped (`scale == 0`), and
+/// the first step, compute their product in a standalone pass. Every
 /// stored value is the same expression, summed in the same order, as
 /// in the textbook lower-triangle sweep (Numerical Recipes `tred2`):
 /// results are bitwise those of that sweep. The kernel runs serially:
 /// each step's O(m²) work is too small to amortize pool dispatch.
-pub(crate) fn tred2_reduce(a: &mut Mat, hh: &mut [f64], e: &mut [f64]) {
+#[inline(always)]
+fn tred2_reduce_portable(a: &mut Mat, hh: &mut [f64], e: &mut [f64]) {
     let n = a.nrows();
     let ncols = a.ncols();
     debug_assert!(
         a.is_symmetric(0.0),
         "tred2_reduce needs an exactly symmetric matrix"
     );
+    // `Some(h)` when the previous step's sweep already built this
+    // step's reflector, companion column, `e[i]` and `e[..i] = (A·u)/h`.
+    let mut prepared = None;
     for i in (1..n).rev() {
         let l = i - 1;
-        let mut h = 0.0;
-        if l > 0 {
-            // Rows 0..=l are the trailing block; row i holds the
-            // reflector being built in its first i slots.
-            let (block, rest) = a.as_mut_slice().split_at_mut(i * ncols);
-            let u = &mut rest[..i];
-            let mut scale = 0.0;
-            for x in u.iter() {
-                scale += x.abs();
-            }
-            if scale == 0.0 {
-                e[i] = u[l];
-            } else {
-                for x in u.iter_mut() {
-                    *x /= scale;
-                    h += *x * *x;
-                }
-                let f = u[l];
-                let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
-                e[i] = scale * g;
-                h -= f * g;
-                u[l] = f - g;
-                let u = &*u;
-                // The stored companion column a[(j,i)] = u_j / h.
-                for (j, &uj) in u.iter().enumerate() {
-                    block[j * ncols + i] = uj / h;
-                }
-                // Phase A: e[j] = (A u)_j / h, four rows' dot products
-                // as independent chains (each still sums k ascending).
-                let row = |j: usize| &block[j * ncols..j * ncols + i];
-                let mut j = 0;
-                while j + 4 <= i {
-                    let (r0, r1, r2, r3) = (row(j), row(j + 1), row(j + 2), row(j + 3));
-                    let (mut g0, mut g1, mut g2, mut g3) = (0.0, 0.0, 0.0, 0.0);
-                    for k in 0..i {
-                        let x = u[k];
-                        g0 += r0[k] * x;
-                        g1 += r1[k] * x;
-                        g2 += r2[k] * x;
-                        g3 += r3[k] * x;
-                    }
-                    e[j] = g0 / h;
-                    e[j + 1] = g1 / h;
-                    e[j + 2] = g2 / h;
-                    e[j + 3] = g3 / h;
-                    j += 4;
-                }
-                while j < i {
-                    let mut g = 0.0;
-                    for (&ajk, &x) in row(j).iter().zip(u) {
-                        g += ajk * x;
-                    }
-                    e[j] = g / h;
-                    j += 1;
-                }
-                let mut f = 0.0;
-                for (&ej, &uj) in e.iter().zip(u) {
-                    f += ej * uj;
-                }
-                let hh = f / (h + h);
-                for (ej, &uj) in e.iter_mut().zip(u) {
-                    *ej -= hh * uj;
-                }
-                // Phase B: symmetric rank-2 update of the whole block.
-                let e = &e[..i];
-                for (j, r) in block.chunks_mut(ncols).enumerate() {
-                    let (fj, gj) = (u[j], e[j]);
-                    for ((ajk, &ek), &uk) in r[..i].iter_mut().zip(e).zip(u) {
-                        *ajk -= fj * ek + gj * uk;
-                    }
-                }
-            }
-        } else {
-            e[i] = a[(i, l)];
+        // Rows 0..=l are the trailing block; row i holds the reflector
+        // in its first i slots.
+        let (block, rest) = a.as_mut_slice().split_at_mut(i * ncols);
+        let u = &mut rest[..i];
+        if l == 0 {
+            e[i] = u[0];
+            hh[i] = 0.0;
+            continue;
         }
+        let h = match prepared.take() {
+            Some(h) => h,
+            None => {
+                let Some((h, ei)) = householder(u) else {
+                    e[i] = u[l];
+                    hh[i] = 0.0;
+                    continue;
+                };
+                e[i] = ei;
+                // Standalone product, with the companion column
+                // a[(j,i)] = u_j / h.
+                let acc = &mut e[..i];
+                acc.fill(0.0);
+                for (r, &uj) in block.chunks_mut(ncols).zip(&*u) {
+                    r[i] = uj / h;
+                    for (s, &ajk) in acc.iter_mut().zip(&r[..i]) {
+                        *s += ajk * uj;
+                    }
+                }
+                for s in acc {
+                    *s /= h;
+                }
+                h
+            }
+        };
         hh[i] = h;
+        let u = &*u;
+        let mut f = 0.0;
+        for (&ej, &uj) in e.iter().zip(u) {
+            f += ej * uj;
+        }
+        let hf = f / (h + h);
+        for (ej, &uj) in e.iter_mut().zip(u) {
+            *ej -= hf * uj;
+        }
+        // Symmetric rank-2 update a[(j,k)] -= u_j q_k + q_j u_k of the
+        // block, row l first.
+        let q = &e[..i];
+        let (head, row_l) = block.split_at_mut(l * ncols);
+        let row_l = &mut row_l[..i];
+        rank2_row(row_l, u[l], q[l], q, u);
+        let next = if l > 1 {
+            householder(&mut row_l[..l])
+        } else {
+            None
+        };
+        if let Some((h2, el)) = next {
+            // Step l is not skipped: fuse its product into this sweep.
+            // hh[..l] belongs to the steps still to come, each of which
+            // writes its own slot, so it holds the running sums.
+            let u2 = &row_l[..l];
+            let acc = &mut hh[..l];
+            acc.fill(0.0);
+            let (ql, ul) = (&q[..l], &u[..l]);
+            for (j, r) in head.chunks_mut(ncols).enumerate() {
+                let (fj, gj, xj) = (u[j], q[j], u2[j]);
+                for (((ajk, s), &qk), &uk) in r[..l].iter_mut().zip(acc.iter_mut()).zip(ql).zip(ul)
+                {
+                    *ajk -= fj * qk + gj * uk;
+                    *s += *ajk * xj;
+                }
+                // Step l's companion replaces this step's update of
+                // a[(j,l)].
+                r[l] = xj / h2;
+            }
+            for (ek, &s) in e.iter_mut().zip(&hh[..l]) {
+                *ek = s / h2;
+            }
+            e[l] = el;
+            prepared = Some(h2);
+        } else {
+            for (r, (&fj, &gj)) in head.chunks_mut(ncols).zip(u.iter().zip(q)) {
+                rank2_row(&mut r[..i], fj, gj, q, u);
+            }
+        }
     }
-    hh[0] = 0.0;
-    e[0] = 0.0;
+    if n > 0 {
+        hh[0] = 0.0;
+        e[0] = 0.0;
+    }
+}
+
+/// Turns a row's left part into its Householder vector in place and
+/// returns the step's `(h, e_i)`, or `None` (row untouched) when the
+/// row is all zero and the step is skipped.
+#[inline(always)]
+fn householder(u: &mut [f64]) -> Option<(f64, f64)> {
+    let mut scale = 0.0;
+    for x in u.iter() {
+        scale += x.abs();
+    }
+    if scale == 0.0 {
+        return None;
+    }
+    let mut h = 0.0;
+    for x in u.iter_mut() {
+        *x /= scale;
+        h += *x * *x;
+    }
+    let l = u.len() - 1;
+    let f = u[l];
+    let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+    u[l] = f - g;
+    Some((h - f * g, scale * g))
+}
+
+/// One row of the symmetric rank-2 update: `r[k] -= fj·q[k] + gj·u[k]`.
+#[inline(always)]
+fn rank2_row(r: &mut [f64], fj: f64, gj: f64, q: &[f64], u: &[f64]) {
+    for ((ajk, &qk), &uk) in r.iter_mut().zip(q).zip(u) {
+        *ajk -= fj * qk + gj * uk;
+    }
 }
 
 /// Back-transformation: accumulate `Q` in place by applying each
@@ -633,12 +716,53 @@ mod tests {
         ])];
         for n in [1usize, 2, 5, 12, 33, 64, 102, 202] {
             cases.push(random_sym(n as u64, n));
-            cases.push(zero_row_sym(n as u64 + 1000, n));
+            cases.push(zero_rows_sym(n as u64 + 1000, n, &zero_rows(n, 1)));
         }
         for a in &cases {
             let v1 = eigvalsh(a).unwrap();
             let v2 = eigh(a).unwrap().values;
             assert_bits(&v1, &v2, &format!("eigvalsh vs eigh n={}", a.nrows()));
+        }
+    }
+
+    /// `eigh`, `eigvalsh` and `spectral_side` read both triangles and
+    /// decompose the symmetric part: an asymmetric input gives bitwise
+    /// the result of its symmetrized copy.
+    #[test]
+    fn asymmetric_input_decomposes_as_its_symmetrized_copy() {
+        for n in [2usize, 12, 33, 70] {
+            let mut rng = gfp_rand::Rng::seed_from_u64(500 + n as u64);
+            let mut a = random_sym(n as u64, n);
+            for x in a.as_mut_slice() {
+                *x += 1e-3 * (2.0 * rng.gen_f64() - 1.0);
+            }
+            assert!(!a.is_symmetric(0.0));
+            let mut s = a.clone();
+            s.symmetrize_mut();
+            let what = format!("n={n}");
+            let (ea, es) = (eigh(&a).unwrap(), eigh(&s).unwrap());
+            assert_bits(&ea.values, &es.values, &format!("{what} eigh values"));
+            assert_bits(
+                ea.vectors.as_slice(),
+                es.vectors.as_slice(),
+                &format!("{what} eigh vectors"),
+            );
+            let (va, vs) = (eigvalsh(&a).unwrap(), eigvalsh(&s).unwrap());
+            assert_bits(&va, &vs, &format!("{what} eigvalsh"));
+            let side = |m: &Mat| crate::spectral_side(m, 1e-9).unwrap();
+            match (side(&a), side(&s)) {
+                (None, None) => assert!(n < 8, "{what}: spectral_side refused"),
+                (Some(pa), Some(ps)) => {
+                    assert_eq!(pa.kind, ps.kind, "{what} side");
+                    assert_bits(&pa.values, &ps.values, &format!("{what} side values"));
+                    assert_bits(
+                        pa.vectors.as_slice(),
+                        ps.vectors.as_slice(),
+                        &format!("{what} side vectors"),
+                    );
+                }
+                _ => panic!("{what}: only one input resolved"),
+            }
         }
     }
 
@@ -655,13 +779,13 @@ mod tests {
         m
     }
 
-    /// A random symmetric matrix split into two diagonal blocks at row
-    /// [`zero_row`]. That row is all zero left of the diagonal, the
+    /// A random symmetric matrix cut into diagonal blocks at each row
+    /// of `rows`. Such a row is all zero left of the diagonal, the
     /// later (higher) steps never couple the blocks, so its own
     /// Householder step sees `scale == 0`.
-    fn zero_row_sym(seed: u64, n: usize) -> Mat {
+    fn zero_rows_sym(seed: u64, n: usize, rows: &[usize]) -> Mat {
         let mut m = random_sym(seed, n);
-        if let Some(r) = zero_row(n) {
+        for &r in rows {
             for j in r..n {
                 for k in 0..r {
                     m[(j, k)] = 0.0;
@@ -672,10 +796,16 @@ mod tests {
         m
     }
 
-    /// The zeroed row of [`zero_row_sym`]: the middle one, when its
-    /// step has a left part of at least two entries.
-    fn zero_row(n: usize) -> Option<usize> {
-        (n / 2 >= 2).then_some(n / 2)
+    /// The rows [`zero_rows_sym`] zeroes for `count` consecutive
+    /// skipped steps ending at the middle row, when each of those
+    /// steps has a left part of at least two entries (none otherwise).
+    fn zero_rows(n: usize, count: usize) -> Vec<usize> {
+        let r = n / 2;
+        if r > count {
+            (r + 1 - count..=r).collect()
+        } else {
+            Vec::new()
+        }
     }
 
     fn assert_bits(a: &[f64], b: &[f64], what: &str) {
@@ -691,6 +821,9 @@ mod tests {
     /// [`tred2_reduce`] must match bit for bit.
     fn tred2_reduce_column_walk(a: &mut Mat, hh: &mut [f64], e: &mut [f64]) {
         let n = a.nrows();
+        if n == 0 {
+            return;
+        }
         for i in (1..n).rev() {
             let l = i - 1;
             let mut h = 0.0;
@@ -771,41 +904,70 @@ mod tests {
         }
     }
 
+    type Reduce = fn(&mut Mat, &mut [f64], &mut [f64]);
+
+    /// Both builds of the reduction against the column walk: the
+    /// portable body, and its AVX2 build when the host has AVX2. The
+    /// zero-row cases cover a skipped step after a fused one, two
+    /// skipped steps in a row, and a standalone product right after a
+    /// skip.
     #[test]
     fn tred2_matches_column_walk_reference_bitwise() {
-        for n in [1usize, 2, 3, 5, 8, 12, 33, 64, 102, 202] {
-            for (label, m) in [
-                ("random", random_sym(n as u64, n)),
-                ("zero row", zero_row_sym(n as u64 + 1000, n)),
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut bodies: Vec<(&str, Reduce)> = vec![("portable", tred2_reduce_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            bodies.push(("avx2", |a, hh, e| {
+                // SAFETY: this body is only listed when the host has
+                // AVX2, checked just above.
+                unsafe { tred2_reduce_avx2(a, hh, e) }
+            }));
+        }
+        for n in (0..=8).chain([12, 21, 33, 64, 102, 202]) {
+            for (label, skips) in [
+                ("random", Vec::new()),
+                ("zero row", zero_rows(n, 1)),
+                ("two zero rows", zero_rows(n, 2)),
             ] {
-                let what = format!("{label} n={n}");
-                let (mut got, mut want) = (m.clone(), m.clone());
-                let (mut hh_got, mut e_got) = (vec![0.0; n], vec![0.0; n]);
+                let m = zero_rows_sym(n as u64 + 1000 * skips.len() as u64, n, &skips);
+                let mut want = m.clone();
                 let (mut hh_want, mut e_want) = (vec![0.0; n], vec![0.0; n]);
-                tred2_reduce(&mut got, &mut hh_got, &mut e_got);
                 tred2_reduce_column_walk(&mut want, &mut hh_want, &mut e_want);
-                assert_bits(&e_got, &e_want, &format!("{what} e"));
-                assert_bits(&hh_got, &hh_want, &format!("{what} hh"));
-                for i in 0..n {
-                    assert_bits(&[got[(i, i)]], &[want[(i, i)]], &format!("{what} d[{i}]"));
-                    assert_bits(
-                        &got.row(i)[..i],
-                        &want.row(i)[..i],
-                        &format!("{what} reflector row {i}"),
-                    );
-                    if hh_want[i] != 0.0 {
-                        let col = |m: &Mat| (0..i).map(|k| m[(k, i)]).collect::<Vec<_>>();
-                        assert_bits(&col(&got), &col(&want), &format!("{what} companion {i}"));
-                    }
+                let what = format!("{label} n={n}");
+                for &r in &skips {
+                    assert_eq!(hh_want[r], 0.0, "{what}: step {r} must hit scale == 0");
                 }
-                if label == "zero row" {
-                    if let Some(r) = zero_row(n) {
-                        assert_eq!(hh_want[r], 0.0, "{what}: step {r} must hit scale == 0");
-                    }
+                if let Some(&r) = skips.first().filter(|&&r| r > 2) {
+                    let next = r - 1;
+                    let msg = format!("{what}: step {next} must not be skipped");
+                    assert_ne!(hh_want[next], 0.0, "{msg}");
                 }
-                tred2_form_q(&mut got, &hh_got);
-                tred2_form_q_column_walk(&mut want, &hh_want);
-                assert_bits(got.as_slice(), want.as_slice(), &format!("{what} Q"));
+                let mut want_q = want.clone();
+                tred2_form_q_column_walk(&mut want_q, &hh_want);
+                for &(body, reduce) in &bodies {
+                    let what = format!("{body} {what}");
+                    let mut got = m.clone();
+                    // NaN-filled: no output slot may be read before the
+                    // reduction writes it.
+                    let (mut hh_got, mut e_got) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                    reduce(&mut got, &mut hh_got, &mut e_got);
+                    assert_bits(&e_got, &e_want, &format!("{what} e"));
+                    assert_bits(&hh_got, &hh_want, &format!("{what} hh"));
+                    for i in 0..n {
+                        assert_bits(&[got[(i, i)]], &[want[(i, i)]], &format!("{what} d[{i}]"));
+                        assert_bits(
+                            &got.row(i)[..i],
+                            &want.row(i)[..i],
+                            &format!("{what} reflector row {i}"),
+                        );
+                        if hh_want[i] != 0.0 {
+                            let col = |m: &Mat| (0..i).map(|k| m[(k, i)]).collect::<Vec<_>>();
+                            assert_bits(&col(&got), &col(&want), &format!("{what} companion {i}"));
+                        }
+                    }
+                    tred2_form_q(&mut got, &hh_got);
+                    assert_bits(got.as_slice(), want_q.as_slice(), &format!("{what} Q"));
+                }
             }
         }
     }

@@ -269,6 +269,11 @@ impl Tridiagonal {
 /// resolved; callers treat them as zero, which is exactly the
 /// truncation the PSD projection already permits at this tolerance.
 ///
+/// Like [`crate::eigh`], it reads both triangles of `a` and resolves
+/// the symmetric part `0.5·(a[(i,j)] + a[(j,i)])`, so a nearly
+/// symmetric input and its symmetrized copy give bitwise the same
+/// result.
+///
 /// # Errors
 ///
 /// [`LinalgError::NotSquare`] for non-square input and

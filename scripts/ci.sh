@@ -24,6 +24,13 @@ cargo test -q -- --ignored
 # hierarchical n50 golden + resume. About 45 s in release on 2 vCPUs.
 cargo test --release -q -p gfp-core --test scaling_sparsify -- --ignored
 
+echo "== linalg tests (release) =="
+# gfp-linalg's bit pins against the optimized, vectorized build the
+# benchmark runs (every other stage builds them in debug): both builds
+# of the Householder reduction against the column-walk reference,
+# spectral_side_bits, eigvalsh vs eigh, and the 1/2/8-worker tests.
+cargo test --release -q -p gfp-linalg
+
 echo "== fault-injection tests =="
 # Deterministic fault-matrix + supervisor recovery tests; the hooks
 # only compile under the opt-in `fault-inject` feature.

@@ -100,30 +100,27 @@ impl SequencePair {
 pub struct AnnealSettings {
     /// Moves attempted per temperature step.
     pub moves_per_temp: usize,
-    /// Geometric cooling factor.
-    pub cooling: f64,
     /// Number of temperature steps.
     pub temp_steps: usize,
-    /// Weight of the outline-overflow penalty relative to HPWL scale.
-    pub overflow_weight: f64,
-    /// Number of discrete aspect choices per soft module.
-    pub aspect_choices: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for AnnealSettings {
     fn default() -> Self {
         AnnealSettings {
             moves_per_temp: 200,
-            cooling: 0.93,
             temp_steps: 80,
-            overflow_weight: 4.0,
-            aspect_choices: 7,
-            seed: 0xF1004,
         }
     }
 }
+
+/// Geometric cooling factor.
+const COOLING: f64 = 0.93;
+/// Weight of the outline-overflow penalty relative to HPWL scale.
+const OVERFLOW_WEIGHT: f64 = 4.0;
+/// Number of discrete aspect choices per soft module.
+const ASPECT_CHOICES: usize = 7;
+/// RNG seed.
+const SEED: u64 = 0xF1004;
 
 /// Result of an annealing run: a complete (legal if `fits`) floorplan.
 #[derive(Debug, Clone)]
@@ -174,18 +171,13 @@ impl Annealer {
             });
         }
         let st = &self.settings;
-        let mut rng = Rng::seed_from_u64(st.seed);
+        let mut rng = Rng::seed_from_u64(SEED);
         let k = problem.aspect_limit.max(1.01);
 
         // Discrete aspect ladder (w/h ratios), geometric in [1/k, k].
-        let choices = st.aspect_choices.max(1);
         let aspect_of = |c: usize| -> f64 {
-            if choices == 1 {
-                1.0
-            } else {
-                let t = c as f64 / (choices - 1) as f64;
-                (1.0 / k) * (k * k).powf(t)
-            }
+            let t = c as f64 / (ASPECT_CHOICES - 1) as f64;
+            (1.0 / k) * (k * k).powf(t)
         };
         let dims = |area: f64, c: usize| -> (f64, f64) {
             let ar = aspect_of(c);
@@ -199,7 +191,7 @@ impl Annealer {
             state.pos.swap(i, rng.gen_range(0..=i));
             state.neg.swap(i, rng.gen_range(0..=i));
         }
-        let mut shape: Vec<usize> = vec![choices / 2; n];
+        let mut shape: Vec<usize> = vec![ASPECT_CHOICES / 2; n];
 
         let evaluate = |sp: &SequencePair, shape: &[usize]| -> (f64, f64, bool) {
             let mut widths = vec![0.0; n];
@@ -215,7 +207,7 @@ impl Annealer {
             let overflow = (total_w - outline.width).max(0.0) / outline.width
                 + (total_h - outline.height).max(0.0) / outline.height;
             let scale = wl.max(1.0);
-            let cost = wl + st.overflow_weight * scale * overflow;
+            let cost = wl + OVERFLOW_WEIGHT * scale * overflow;
             (cost, wl, overflow == 0.0)
         };
 
@@ -230,7 +222,7 @@ impl Annealer {
         for _ in 0..50 {
             let mut trial = state.clone();
             let mut tshape = shape.clone();
-            random_move(&mut trial, &mut tshape, choices, &mut rng);
+            random_move(&mut trial, &mut tshape, &mut rng);
             let (c, _, _) = evaluate(&trial, &tshape);
             if c > cost {
                 uphill_sum += c - cost;
@@ -247,7 +239,7 @@ impl Annealer {
             for _ in 0..st.moves_per_temp {
                 let mut trial = state.clone();
                 let mut tshape = shape.clone();
-                random_move(&mut trial, &mut tshape, choices, &mut rng);
+                random_move(&mut trial, &mut tshape, &mut rng);
                 let (c, _, _) = evaluate(&trial, &tshape);
                 let accept = c <= cost || {
                     let u: f64 = rng.gen_f64();
@@ -264,7 +256,7 @@ impl Annealer {
                     }
                 }
             }
-            temperature *= st.cooling;
+            temperature *= COOLING;
         }
 
         // Final packing of the best state.
@@ -289,11 +281,11 @@ impl Annealer {
     }
 }
 
-fn random_move(sp: &mut SequencePair, shape: &mut [usize], choices: usize, rng: &mut Rng) {
+fn random_move(sp: &mut SequencePair, shape: &mut [usize], rng: &mut Rng) {
     let n = sp.pos.len();
     if n < 2 {
         if !shape.is_empty() {
-            shape[0] = rng.gen_range(0..choices);
+            shape[0] = rng.gen_range(0..ASPECT_CHOICES);
         }
         return;
     }
@@ -322,7 +314,7 @@ fn random_move(sp: &mut SequencePair, shape: &mut [usize], choices: usize, rng: 
         _ => {
             // Reshape a random soft module.
             let m = rng.gen_range(0..shape.len());
-            shape[m] = rng.gen_range(0..choices);
+            shape[m] = rng.gen_range(0..ASPECT_CHOICES);
         }
     }
 }
@@ -401,7 +393,6 @@ mod tests {
         let quick = Annealer::new(AnnealSettings {
             moves_per_temp: 60,
             temp_steps: 40,
-            ..AnnealSettings::default()
         });
         let result = quick.place(&nl, &p, &outline).unwrap();
         assert_eq!(result.rects.len(), 10);
@@ -435,7 +426,6 @@ mod tests {
         let s = AnnealSettings {
             moves_per_temp: 30,
             temp_steps: 20,
-            ..AnnealSettings::default()
         };
         let r1 = Annealer::new(s.clone()).place(&nl, &p, &outline).unwrap();
         let r2 = Annealer::new(s).place(&nl, &p, &outline).unwrap();

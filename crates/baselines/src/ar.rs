@@ -21,36 +21,14 @@ use gfp_optim::{Lbfgs, LbfgsSettings, Objective};
 use crate::qp::QuadraticPlacer;
 use crate::{BaselineError, Placement};
 
-/// Settings for the AR baseline.
-#[derive(Debug, Clone)]
-pub struct ArSettings {
-    /// Repeller strength multiplier. The effective `σ` is
-    /// `sigma · Ā · (mean diameter)²` where `Ā` is the mean connected
-    /// pair weight — the auto-scaling stands in for the hand tuning
-    /// the original AR implementations required (σ is dimensionally
-    /// inconsistent, one of the flaws the paper dissects in Fig. 2).
-    pub sigma: f64,
-    /// L-BFGS iteration budget.
-    pub max_iter: usize,
-    /// Guard floor on `d_ij` (relative to the chip scale).
-    pub distance_floor_rel: f64,
-}
-
-impl Default for ArSettings {
-    fn default() -> Self {
-        ArSettings {
-            sigma: 1.0,
-            max_iter: 600,
-            distance_floor_rel: 1e-4,
-        }
-    }
-}
+/// L-BFGS iteration budget of an AR run and of each PP start.
+pub(crate) const MAX_ITER: usize = 600;
+/// Guard floor on `d_ij` (relative to the chip scale), shared with PP.
+pub(crate) const DISTANCE_FLOOR_REL: f64 = 1e-4;
 
 /// The attractor-repeller floorplanner.
 #[derive(Debug, Clone, Default)]
-pub struct ArFloorplanner {
-    settings: ArSettings,
-}
+pub struct ArFloorplanner {}
 
 /// The AR objective over flattened coordinates `[x₀, y₀, x₁, y₁, …]`,
 /// with fixed modules substituted (not optimized).
@@ -174,9 +152,13 @@ impl Objective for PairObjective<'_> {
     }
 }
 
-/// Auto-scaling for the repeller strength: `Ā · (mean diameter)²`, so
-/// that the average pair's AR equilibrium sits near tangency instead of
-/// deep overlap (cf. the paper's Fig. 2(b) analysis).
+/// The repeller strength `σ = Ā · (mean diameter)²`, where `Ā` is the
+/// mean connected pair weight, so that the average pair's AR
+/// equilibrium sits near tangency instead of deep overlap (cf. the
+/// paper's Fig. 2(b) analysis). The auto-scaling stands in for the
+/// hand tuning the original AR implementations required (σ is
+/// dimensionally inconsistent, one of the flaws the paper dissects in
+/// Fig. 2).
 pub(crate) fn ar_sigma_scale(problem: &GlobalFloorplanProblem) -> f64 {
     let n = problem.n;
     let mut w_sum = 0.0;
@@ -197,11 +179,6 @@ pub(crate) fn ar_sigma_scale(problem: &GlobalFloorplanProblem) -> f64 {
 }
 
 impl ArFloorplanner {
-    /// Creates a floorplanner with the given settings.
-    pub fn new(settings: ArSettings) -> Self {
-        ArFloorplanner { settings }
-    }
-
     /// Runs AR from the quadratic-placement start.
     ///
     /// # Errors
@@ -219,9 +196,9 @@ impl ArFloorplanner {
         let obj = PairObjective {
             problem,
             movable: movable.clone(),
-            floor: (self.settings.distance_floor_rel * scale).powi(2),
+            floor: (DISTANCE_FLOOR_REL * scale).powi(2),
             model: PairModel::Ar {
-                sigma: self.settings.sigma * ar_sigma_scale(problem),
+                sigma: ar_sigma_scale(problem),
             },
         };
         // Jitter the (possibly nearly collapsed) QP start so the
@@ -233,7 +210,7 @@ impl ArFloorplanner {
             x0.push(start.positions[i].1 + 1e-2 * scale * angle.sin());
         }
         let result = Lbfgs::new(LbfgsSettings {
-            max_iter: self.settings.max_iter,
+            max_iter: MAX_ITER,
             grad_tol: 1e-6 * scale,
             ..LbfgsSettings::default()
         })

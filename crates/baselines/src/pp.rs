@@ -15,7 +15,7 @@ use gfp_core::GlobalFloorplanProblem;
 use gfp_optim::{Lbfgs, LbfgsSettings};
 use gfp_rand::Rng;
 
-use crate::ar::{PairModel, PairObjective};
+use crate::ar::{PairModel, PairObjective, DISTANCE_FLOOR_REL, MAX_ITER};
 use crate::qp::QuadraticPlacer;
 use crate::{BaselineError, Placement};
 
@@ -24,24 +24,16 @@ use crate::{BaselineError, Placement};
 pub struct PpSettings {
     /// Number of random restarts (the QP start is always included).
     pub restarts: usize,
-    /// L-BFGS iteration budget per start.
-    pub max_iter: usize,
-    /// RNG seed for the restarts.
-    pub seed: u64,
-    /// Guard floor on `d_ij` (relative to the chip scale).
-    pub distance_floor_rel: f64,
 }
 
 impl Default for PpSettings {
     fn default() -> Self {
-        PpSettings {
-            restarts: 3,
-            max_iter: 600,
-            seed: 0x9e3779b9,
-            distance_floor_rel: 1e-4,
-        }
+        PpSettings { restarts: 3 }
     }
 }
+
+/// RNG seed for the restarts.
+const SEED: u64 = 0x9e3779b9;
 
 /// The push-pull floorplanner.
 #[derive(Debug, Clone, Default)]
@@ -72,16 +64,16 @@ impl PpFloorplanner {
         let obj = PairObjective {
             problem,
             movable: movable.clone(),
-            floor: (self.settings.distance_floor_rel * scale).powi(2),
+            floor: (DISTANCE_FLOOR_REL * scale).powi(2),
             model: PairModel::Pp,
         };
         let optimizer = Lbfgs::new(LbfgsSettings {
-            max_iter: self.settings.max_iter,
+            max_iter: MAX_ITER,
             grad_tol: 1e-6 * scale,
             ..LbfgsSettings::default()
         });
 
-        let mut rng = Rng::seed_from_u64(self.settings.seed);
+        let mut rng = Rng::seed_from_u64(SEED);
         let (cx, cy) = match &problem.outline {
             Some(o) => o.center(),
             None => {
@@ -172,18 +164,8 @@ mod tests {
     #[test]
     fn pp_multi_start_no_worse_than_single() {
         let p = problem();
-        let single = PpFloorplanner::new(PpSettings {
-            restarts: 0,
-            ..PpSettings::default()
-        })
-        .place(&p)
-        .unwrap();
-        let multi = PpFloorplanner::new(PpSettings {
-            restarts: 3,
-            ..PpSettings::default()
-        })
-        .place(&p)
-        .unwrap();
+        let single = PpFloorplanner::new(PpSettings { restarts: 0 }).place(&p).unwrap();
+        let multi = PpFloorplanner::new(PpSettings { restarts: 3 }).place(&p).unwrap();
         assert!(multi.objective <= single.objective + 1e-9);
     }
 

@@ -187,7 +187,6 @@ mod tests {
             fixed: vec![None; n],
             outline: None,
             aspect_limit: 1.0,
-            margin_factor: 1.0,
             hyperedges: vec![],
             max_distance: vec![],
             min_distance: vec![],
@@ -222,7 +221,6 @@ mod tests {
             fixed: vec![None],
             outline: None,
             aspect_limit: 1.0,
-            margin_factor: 1.0,
             hyperedges: vec![],
             max_distance: vec![],
             min_distance: vec![],
@@ -266,7 +264,6 @@ mod tests {
             fixed: vec![None; 2],
             outline: None,
             aspect_limit: 1.0,
-            margin_factor: 1.0,
             hyperedges: vec![],
             max_distance: vec![],
             min_distance: vec![],

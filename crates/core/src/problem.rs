@@ -18,9 +18,6 @@ pub struct ProblemOptions {
     pub aspect_limit: f64,
     /// Include boundary-pin (I/O pad) terms in the objective (Eq. 21).
     pub use_pads: bool,
-    /// Fraction of each module's minimum half-width kept clear of the
-    /// outline edge when bounding centers (0 disables margins).
-    pub margin_factor: f64,
 }
 
 impl Default for ProblemOptions {
@@ -29,7 +26,6 @@ impl Default for ProblemOptions {
             outline: None,
             aspect_limit: 1.0,
             use_pads: true,
-            margin_factor: 1.0,
         }
     }
 }
@@ -42,7 +38,6 @@ impl ProblemOptions {
             outline: Some(outline),
             aspect_limit: 3.0,
             use_pads: true,
-            margin_factor: 1.0,
         }
     }
 }
@@ -72,8 +67,6 @@ pub struct GlobalFloorplanProblem {
     pub outline: Option<Outline>,
     /// Aspect limit `k`.
     pub aspect_limit: f64,
-    /// Outline margin factor.
-    pub margin_factor: f64,
     /// Hyper-edges as `(weight, module indices)` with at least two
     /// distinct module pins — consumed by the hyper-edge enhancement
     /// (Section IV-B0a).
@@ -155,7 +148,6 @@ impl GlobalFloorplanProblem {
             fixed,
             outline: options.outline,
             aspect_limit: k,
-            margin_factor: options.margin_factor,
             hyperedges,
             max_distance: Vec::new(),
             min_distance: Vec::new(),
@@ -306,7 +298,7 @@ impl GlobalFloorplanProblem {
         let outline = self.outline.as_ref()?;
         // Margin: half of the narrowest legal width of the module.
         let min_side = (self.areas[i] / self.aspect_limit).sqrt();
-        let margin = (self.margin_factor * min_side / 2.0)
+        let margin = (min_side / 2.0)
             .min(0.45 * outline.width)
             .min(0.45 * outline.height);
         Some((

@@ -20,9 +20,6 @@ use crate::LegalizeError;
 pub struct LegalizeSettings {
     /// Conic solver settings.
     pub admm: AdmmSettings,
-    /// Relative validation tolerance (area shortfall, overlap depth,
-    /// outline escape).
-    pub tol: f64,
 }
 
 impl Default for LegalizeSettings {
@@ -32,10 +29,13 @@ impl Default for LegalizeSettings {
                 eps: 1e-6,
                 max_iter: 30_000,
             },
-            tol: 5e-3,
         }
     }
 }
+
+/// Relative validation tolerance (area shortfall, overlap depth,
+/// outline escape).
+const TOL: f64 = 5e-3;
 
 /// A legalized floorplan.
 #[derive(Debug, Clone)]
@@ -98,8 +98,8 @@ pub fn legalize(
         .iter()
         .map(|s| (s / k).sqrt())
         .collect();
-    if graph.min_width(&min_w) > outline.width * (1.0 + settings.tol)
-        || graph.min_height(&min_w) > outline.height * (1.0 + settings.tol)
+    if graph.min_width(&min_w) > outline.width * (1.0 + TOL)
+        || graph.min_height(&min_w) > outline.height * (1.0 + TOL)
     {
         if telemetry::enabled() {
             telemetry::event(
@@ -186,7 +186,7 @@ pub fn legalize(
             r.y = (outline.height - r.h).max(0.0);
         }
     }
-    if let Err(e) = validate(&rects, problem, outline, settings.tol) {
+    if let Err(e) = validate(&rects, problem, outline) {
         return Err(match solver_note {
             Some(note) => LegalizeError::Infeasible {
                 detail: format!("{note}; {e}"),
@@ -392,16 +392,15 @@ fn validate(
     rects: &[Rect],
     problem: &GlobalFloorplanProblem,
     outline: &Outline,
-    tol: f64,
 ) -> Result<(), LegalizeError> {
-    let lin_tol = tol * outline.width.max(outline.height);
+    let lin_tol = TOL * outline.width.max(outline.height);
     for (i, r) in rects.iter().enumerate() {
         if r.w <= 0.0 || r.h <= 0.0 {
             return Err(LegalizeError::InvalidShapes {
                 detail: format!("module {i} has non-positive size {r:?}"),
             });
         }
-        if r.area() < problem.areas[i] * (1.0 - tol) {
+        if r.area() < problem.areas[i] * (1.0 - TOL) {
             return Err(LegalizeError::InvalidShapes {
                 detail: format!(
                     "module {i} area {:.2} below requirement {:.2}",

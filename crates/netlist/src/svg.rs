@@ -7,26 +7,22 @@ use crate::Outline;
 /// Styling options for [`render`].
 #[derive(Debug, Clone)]
 pub struct SvgStyle {
-    /// Canvas width in pixels (height follows the outline aspect).
-    pub canvas_width: f64,
-    /// Fill color for module rectangles.
-    pub module_fill: String,
-    /// Stroke color for module rectangles.
-    pub module_stroke: String,
     /// Whether to draw module indices.
     pub labels: bool,
 }
 
 impl Default for SvgStyle {
     fn default() -> Self {
-        SvgStyle {
-            canvas_width: 640.0,
-            module_fill: "#9ecae1".to_string(),
-            module_stroke: "#3182bd".to_string(),
-            labels: true,
-        }
+        SvgStyle { labels: true }
     }
 }
+
+/// Canvas width in pixels (height follows the outline aspect).
+const CANVAS_WIDTH: f64 = 640.0;
+/// Fill color for module rectangles.
+const MODULE_FILL: &str = "#9ecae1";
+/// Stroke color for module rectangles.
+const MODULE_STROKE: &str = "#3182bd";
 
 /// Renders a floorplan to an SVG document string.
 ///
@@ -34,15 +30,15 @@ impl Default for SvgStyle {
 /// on the boundary. The y axis is flipped so the origin sits at the
 /// lower left, matching floorplan convention.
 pub fn render(outline: &Outline, rects: &[Rect], pads: &[(f64, f64)], style: &SvgStyle) -> String {
-    let scale = style.canvas_width / outline.width;
+    let scale = CANVAS_WIDTH / outline.width;
     let height = outline.height * scale;
     let flip_y = |y: f64, h: f64| height - (y + h) * scale;
     let mut svg = String::new();
     svg.push_str(&format!(
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\" viewBox=\"0 0 {:.2} {:.2}\">\n",
-        style.canvas_width + 20.0,
+        CANVAS_WIDTH + 20.0,
         height + 20.0,
-        style.canvas_width + 20.0,
+        CANVAS_WIDTH + 20.0,
         height + 20.0
     ));
     svg.push_str("<g transform=\"translate(10,10)\">\n");
@@ -58,8 +54,8 @@ pub fn render(outline: &Outline, rects: &[Rect], pads: &[(f64, f64)], style: &Sv
             flip_y(r.y, r.h),
             r.w * scale,
             r.h * scale,
-            style.module_fill,
-            style.module_stroke
+            MODULE_FILL,
+            MODULE_STROKE
         ));
         if style.labels {
             let (cx, cy) = r.center();
@@ -92,19 +88,13 @@ pub fn render_centers(
     style: &SvgStyle,
 ) -> String {
     assert_eq!(centers.len(), radii.len(), "centers/radii length mismatch");
-    let rects: Vec<Rect> = centers
-        .iter()
-        .zip(radii.iter())
-        .map(|(&(x, y), &r)| Rect::new(x - r, y - r, 2.0 * r, 2.0 * r))
-        .collect();
-    // Re-use render, but circles read better for the circle model:
-    let scale = style.canvas_width / outline.width;
+    let scale = CANVAS_WIDTH / outline.width;
     let height = outline.height * scale;
     let flip = |y: f64| height - y * scale;
     let mut svg = String::new();
     svg.push_str(&format!(
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\">\n<g transform=\"translate(10,10)\">\n",
-        style.canvas_width + 20.0,
+        CANVAS_WIDTH + 20.0,
         height + 20.0
     ));
     svg.push_str(&format!(
@@ -118,8 +108,8 @@ pub fn render_centers(
             x * scale,
             flip(y),
             r * scale,
-            style.module_fill,
-            style.module_stroke
+            MODULE_FILL,
+            MODULE_STROKE
         ));
         if style.labels {
             svg.push_str(&format!(
@@ -138,7 +128,6 @@ pub fn render_centers(
         ));
     }
     svg.push_str("</g>\n</svg>\n");
-    let _ = rects;
     svg
 }
 
@@ -163,10 +152,7 @@ mod tests {
     fn labels_can_be_disabled() {
         let outline = Outline::new(10.0, 10.0);
         let rects = vec![Rect::new(0.0, 0.0, 5.0, 5.0)];
-        let style = SvgStyle {
-            labels: false,
-            ..SvgStyle::default()
-        };
+        let style = SvgStyle { labels: false };
         let svg = render(&outline, &rects, &[], &style);
         assert_eq!(svg.matches("<text").count(), 0);
     }

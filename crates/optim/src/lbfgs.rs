@@ -37,35 +37,32 @@ pub struct OptimizeResult {
 /// Tuning parameters for [`Lbfgs`].
 #[derive(Debug, Clone)]
 pub struct LbfgsSettings {
-    /// History length `m` (5–20 is typical).
-    pub history: usize,
     /// Iteration budget.
     pub max_iter: usize,
     /// Stop when `‖∇f‖_∞` falls below this.
     pub grad_tol: f64,
     /// Stop when the relative objective decrease falls below this.
     pub f_tol: f64,
-    /// Armijo constant `c₁` of the strong-Wolfe conditions.
-    pub c1: f64,
-    /// Curvature constant `c₂` of the strong-Wolfe conditions.
-    pub c2: f64,
-    /// Cap on line-search evaluations per iteration.
-    pub max_ls: usize,
 }
 
 impl Default for LbfgsSettings {
     fn default() -> Self {
         LbfgsSettings {
-            history: 10,
             max_iter: 500,
             grad_tol: 1e-8,
             f_tol: 1e-12,
-            c1: 1e-4,
-            c2: 0.9,
-            max_ls: 40,
         }
     }
 }
+
+/// History length `m` (5–20 is typical).
+const HISTORY: usize = 10;
+/// Armijo constant `c₁` of the strong-Wolfe conditions.
+const C1: f64 = 1e-4;
+/// Curvature constant `c₂` of the strong-Wolfe conditions.
+const C2: f64 = 0.9;
+/// Cap on line-search evaluations in each of its two phases.
+const MAX_LS: usize = 40;
 
 /// Limited-memory BFGS with a strong-Wolfe line search.
 ///
@@ -140,7 +137,7 @@ impl Lbfgs {
             }
 
             // Strong-Wolfe line search.
-            let ls = strong_wolfe(f, &x, value, &grad, &dir, dg, st, &mut evaluations);
+            let ls = strong_wolfe(f, &x, value, &dir, dg, &mut evaluations);
             let (step, new_x, new_value, new_grad) = match ls {
                 Some(t) => t,
                 None => {
@@ -163,7 +160,7 @@ impl Lbfgs {
                 .collect();
             let sy = dot(&s, &yv);
             if sy > 1e-10 * dot(&yv, &yv).max(1e-300) {
-                if s_hist.len() == st.history {
+                if s_hist.len() == HISTORY {
                     s_hist.pop_front();
                     y_hist.pop_front();
                     rho_hist.pop_front();
@@ -198,15 +195,12 @@ impl Lbfgs {
 /// Strong-Wolfe line search (Nocedal & Wright, Algorithms 3.5/3.6).
 ///
 /// Returns `(step, x_new, f_new, g_new)` or `None` on failure.
-#[allow(clippy::too_many_arguments)]
 fn strong_wolfe<F: Objective>(
     f: &F,
     x: &[f64],
     f0: f64,
-    _g0: &[f64],
     dir: &[f64],
     dg0: f64,
-    st: &LbfgsSettings,
     evaluations: &mut usize,
 ) -> Option<(f64, Vec<f64>, f64, Vec<f64>)> {
     let n = x.len();
@@ -229,18 +223,18 @@ fn strong_wolfe<F: Objective>(
     // Bracketing phase.
     let mut lo: Option<(f64, f64, f64)> = None; // (alpha, f, dg)
     let mut hi: Option<(f64, f64, f64)> = None;
-    for i in 0..st.max_ls {
+    for i in 0..MAX_LS {
         let (xt, ft, gt, dgt) = eval_at(alpha, evaluations);
         if !ft.is_finite() {
             alpha *= 0.5;
             continue;
         }
-        if ft > f0 + st.c1 * alpha * dg0 || (i > 0 && ft >= f_prev) {
+        if ft > f0 + C1 * alpha * dg0 || (i > 0 && ft >= f_prev) {
             lo = Some((alpha_prev, f_prev, dg_prev));
             hi = Some((alpha, ft, dgt));
             break;
         }
-        if dgt.abs() <= -st.c2 * dg0 {
+        if dgt.abs() <= -C2 * dg0 {
             return Some((alpha, xt, ft, gt));
         }
         best = Some((alpha, xt, ft, gt));
@@ -257,16 +251,16 @@ fn strong_wolfe<F: Objective>(
 
     // Zoom phase.
     if let (Some(mut lo), Some(mut hi)) = (lo, hi) {
-        for _ in 0..st.max_ls {
+        for _ in 0..MAX_LS {
             let alpha_j = 0.5 * (lo.0 + hi.0);
             if (hi.0 - lo.0).abs() < 1e-14 {
                 break;
             }
             let (xt, ft, gt, dgt) = eval_at(alpha_j, evaluations);
-            if ft > f0 + st.c1 * alpha_j * dg0 || ft >= lo.1 {
+            if ft > f0 + C1 * alpha_j * dg0 || ft >= lo.1 {
                 hi = (alpha_j, ft, dgt);
             } else {
-                if dgt.abs() <= -st.c2 * dg0 {
+                if dgt.abs() <= -C2 * dg0 {
                     return Some((alpha_j, xt, ft, gt));
                 }
                 if dgt * (hi.0 - lo.0) >= 0.0 {
@@ -358,7 +352,6 @@ mod tests {
             max_iter: 3,
             grad_tol: 0.0,
             f_tol: 0.0,
-            ..LbfgsSettings::default()
         })
         .minimize(&Rosenbrock, &[-1.2, 1.0]);
         assert_eq!(r.reason, StopReason::MaxIterations);

@@ -79,8 +79,6 @@ pub struct DaemonConfig {
     /// Base of the exponential retry backoff and of the rejection
     /// retry hint, in milliseconds.
     pub retry_base_ms: u64,
-    /// Checkpoint ring length per job (see `gfp-store`).
-    pub checkpoint_keep: usize,
     /// Done-job directories retained on disk; older ones are
     /// garbage-collected (their results stay served from memory).
     pub keep_done: usize,
@@ -95,7 +93,6 @@ impl Default for DaemonConfig {
             queue_cap: 16,
             max_attempts: 3,
             retry_base_ms: 50,
-            checkpoint_keep: 3,
             keep_done: 32,
         }
     }
@@ -642,7 +639,6 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         let sup = SupervisorSettings {
             total_wall_limit: wall,
             checkpoint_dir: Some(ckpt.clone()),
-            checkpoint_keep: shared.cfg.checkpoint_keep,
             report_path: Some(dir.join(job::REPORT_FILE)),
             ..SupervisorSettings::default()
         };

@@ -37,7 +37,6 @@ fn tiny_legalize() -> LegalizeSettings {
             eps: 1e-4,
             max_iter: 3000,
         },
-        ..LegalizeSettings::default()
     }
 }
 

@@ -88,7 +88,6 @@ fn tiny_legalize() -> LegalizeSettings {
             eps: 2e-4,
             max_iter: 1500,
         },
-        ..LegalizeSettings::default()
     }
 }
 

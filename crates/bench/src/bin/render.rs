@@ -66,7 +66,7 @@ fn main() {
     let ar = ArFloorplanner::default().place(&pipeline.problem).expect("ar");
     save_legal("ar", &ar.positions);
 
-    let sa = Annealer::new(pipeline.budget.anneal_settings(pipeline.problem.n))
+    let sa = Annealer::new(pipeline.budget.anneal_settings())
         .place(&pipeline.netlist, &pipeline.problem, &pipeline.outline)
         .expect("sa");
     let path = format!("results/{name}_sa_legal.svg");

@@ -381,11 +381,6 @@ impl SdpFloorplanner {
         SdpFloorplanner { settings }
     }
 
-    /// The active settings.
-    pub fn settings(&self) -> &FloorplannerSettings {
-        &self.settings
-    }
-
     /// Runs Algorithm 1 on the problem.
     ///
     /// # Errors

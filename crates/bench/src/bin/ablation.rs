@@ -6,6 +6,11 @@
 //!   (Algorithm 1 verbatim),
 //! * enhancement stacks (already swept in `fig4`; summarized here).
 //!
+//! Each row is one supervised solve. Its `verdict` and final `backend`
+//! columns say how the solve ended: a row whose backend failed and
+//! fell back to the other one reads `recovered` or `degraded` and names
+//! the backend that finished it.
+//!
 //! Usage: `cargo run --release -p gfp-bench --bin ablation [-- --quick]`
 
 use std::time::Instant;
@@ -13,7 +18,7 @@ use std::time::Instant;
 use gfp_bench::table::fmt_hpwl;
 use gfp_bench::{Budget, Pipeline, Table};
 use gfp_conic::ipm::BarrierSettings;
-use gfp_core::{Backend, GlobalFloorplanProblem, ProblemOptions, SdpFloorplanner};
+use gfp_core::{Backend, GlobalFloorplanProblem, ProblemOptions, SolveSupervisor};
 use gfp_netlist::suite;
 
 fn main() {
@@ -23,7 +28,7 @@ fn main() {
     println!("Design-choice ablations on {} (budget {budget:?})\n", bench.name);
 
     let mut table = Table::new(vec![
-        "variant", "hpwl", "rank_gap", "iters", "seconds", "converged",
+        "variant", "hpwl", "rank_gap", "iters", "seconds", "verdict", "backend",
     ]);
 
     let variants: Vec<(&str, Box<dyn Fn() -> gfp_core::FloorplannerSettings>)> = vec![
@@ -78,39 +83,27 @@ fn main() {
             &pipeline.problem
         };
         let t0 = Instant::now();
-        match SdpFloorplanner::new(make_settings()).solve(problem) {
-            Ok(fp) => {
-                let secs = t0.elapsed().as_secs_f64();
-                let legal = gfp_legalize::legalize(
-                    &pipeline.netlist,
-                    &pipeline.problem,
-                    &pipeline.outline,
-                    &fp.positions,
-                    &gfp_legalize::LegalizeSettings::default(),
-                );
-                let hpwl = legal.ok().map(|l| l.hpwl);
-                table.add_row(vec![
-                    name.to_string(),
-                    fmt_hpwl(hpwl),
-                    format!("{:.2e}", fp.rank_gap),
-                    fp.iterations.to_string(),
-                    format!("{secs:.1}"),
-                    fp.converged.to_string(),
-                ]);
-                eprintln!("[{name}] done in {secs:.1}s");
-            }
-            Err(e) => {
-                table.add_row(vec![
-                    name.to_string(),
-                    "error".to_string(),
-                    "-".to_string(),
-                    "-".to_string(),
-                    format!("{:.1}", t0.elapsed().as_secs_f64()),
-                    "-".to_string(),
-                ]);
-                eprintln!("[{name}] failed: {e}");
-            }
-        }
+        let result = SolveSupervisor::new(make_settings()).solve(problem);
+        let secs = t0.elapsed().as_secs_f64();
+        let fp = &result.floorplan;
+        let legal = gfp_legalize::legalize(
+            &pipeline.netlist,
+            &pipeline.problem,
+            &pipeline.outline,
+            &fp.positions,
+            &gfp_legalize::LegalizeSettings::default(),
+        );
+        let hpwl = legal.ok().map(|l| l.hpwl);
+        table.add_row(vec![
+            name.to_string(),
+            fmt_hpwl(hpwl),
+            format!("{:.2e}", fp.rank_gap),
+            fp.iterations.to_string(),
+            format!("{secs:.1}"),
+            result.quality.as_str().to_string(),
+            result.final_backend.to_string(),
+        ]);
+        eprintln!("[{name}] done in {secs:.1}s");
     }
     println!("{}", table.render());
     match table.write_csv("ablation") {

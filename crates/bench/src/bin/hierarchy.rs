@@ -9,7 +9,6 @@ use std::time::Instant;
 use gfp_bench::table::fmt_hpwl;
 use gfp_bench::{Budget, Pipeline, Table};
 use gfp_core::hierarchical::{HierarchicalFloorplanner, HierarchicalSettings};
-use gfp_core::SdpFloorplanner;
 use gfp_legalize::{legalize, LegalizeSettings};
 use gfp_netlist::suite;
 
@@ -28,20 +27,8 @@ fn main() {
         let bench = suite::by_name(name);
         let pipeline = Pipeline::new(&bench, 1.0, budget);
         // Flat.
-        let t0 = Instant::now();
-        let flat = SdpFloorplanner::new(pipeline.sdp_settings()).solve(&pipeline.problem);
-        let flat_secs = t0.elapsed().as_secs_f64();
-        let flat_hpwl = flat.ok().and_then(|fp| {
-            legalize(
-                &pipeline.netlist,
-                &pipeline.problem,
-                &pipeline.outline,
-                &fp.positions,
-                &LegalizeSettings::default(),
-            )
-            .ok()
-            .map(|l| l.hpwl)
-        });
+        let flat = pipeline.run_sdp(pipeline.sdp_settings());
+        let (flat_hpwl, flat_secs) = (flat.hpwl, flat.global_seconds);
         table.add_row(vec![
             name.to_string(),
             "flat".into(),

@@ -7,7 +7,7 @@ use gfp_baselines::annealing::Annealer;
 use gfp_baselines::ar::ArFloorplanner;
 use gfp_baselines::qp::QuadraticPlacer;
 use gfp_bench::{Budget, Pipeline};
-use gfp_core::SdpFloorplanner;
+use gfp_core::SolveSupervisor;
 use gfp_legalize::{legalize, LegalizeSettings};
 use gfp_netlist::{suite, svg};
 
@@ -55,10 +55,8 @@ fn main() {
         }
     };
 
-    let sdp = SdpFloorplanner::new(pipeline.sdp_settings())
-        .solve(&pipeline.problem)
-        .expect("sdp");
-    save_legal("ours", &sdp.positions);
+    let sdp = SolveSupervisor::new(pipeline.sdp_settings()).solve(&pipeline.problem);
+    save_legal("ours", &sdp.floorplan.positions);
 
     let qp = QuadraticPlacer::default().place(&pipeline.problem).expect("qp");
     save_legal("qp", &qp.positions);

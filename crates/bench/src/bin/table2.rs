@@ -22,7 +22,7 @@ fn main() {
         let bench = suite::by_name(name);
         for ratio in [1.0, 2.0] {
             let pipeline = Pipeline::new(&bench, ratio, budget);
-            let ours = pipeline.run_sdp();
+            let ours = pipeline.run_sdp(pipeline.sdp_settings());
             let ar = pipeline.run_ar();
             let pp = pipeline.run_pp();
             let d_ar = delta_percent(ours.hpwl, ar.hpwl);

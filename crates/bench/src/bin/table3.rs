@@ -23,7 +23,7 @@ fn main() {
         let bench = suite::by_name(name);
         for ratio in [1.0, 2.0] {
             let pipeline = Pipeline::new(&bench, ratio, budget);
-            let ours = pipeline.run_sdp();
+            let ours = pipeline.run_sdp(pipeline.sdp_settings());
             let sa = pipeline.run_annealing();
             let an = pipeline.run_analytical();
             let d_sa = delta_percent(ours.hpwl, sa.hpwl);

@@ -1,11 +1,13 @@
-//! The overall convex-iteration driver (Algorithm 1 of the paper).
+//! One α round of the convex iteration (Algorithm 1 of the paper).
 //!
 //! For each rank-penalty coefficient `α` (doubled until the rank
 //! certificate holds), the two sub-problems are solved alternately:
 //! sub-problem 1 produces `Z` given the direction matrix `W`;
 //! sub-problem 2 produces the optimal `W` for that `Z` in closed form.
 //! The enhancement hooks update the effective connectivity between
-//! iterations (Eq. 20 and the hyper-edge model).
+//! iterations (Eq. 20 and the hyper-edge model). The α loop around the
+//! rounds is [`SolveSupervisor`](crate::SolveSupervisor), the one way
+//! to run Algorithm 1.
 
 use gfp_conic::ipm::BarrierSettings;
 use gfp_conic::{AdmmReuse, AdmmSettings, SolveStatus};
@@ -112,9 +114,9 @@ impl FloorplannerSettings {
     /// degraded-result reporting — lives in
     /// [`SupervisorSettings`](crate::supervisor::SupervisorSettings)
     /// and is configured on the
-    /// [`SolveSupervisor`](crate::supervisor::SolveSupervisor), not
-    /// here; wrapping a `fast()` solve in a supervisor does not change
-    /// its iterate sequence on a healthy run.
+    /// [`SolveSupervisor`](crate::supervisor::SolveSupervisor) that
+    /// runs every solve, not here; on a healthy run supervision adds
+    /// no iterate of its own.
     pub fn fast() -> Self {
         FloorplannerSettings {
             alpha0: 16.0,
@@ -215,9 +217,10 @@ pub struct RoundSummary {
 
 /// The best iterate seen so far, in **normalized** coordinates.
 ///
-/// Tracked across α rounds inside [`OuterState`]; rank-certified
-/// iterates are preferred over uncertified ones (see the selection
-/// rules in [`run_alpha_round`]).
+/// Tracked across α rounds inside [`OuterState`]. Rank-certified
+/// iterates are preferred over uncertified ones; among certified ones
+/// the lower wirelength wins, among uncertified ones the smaller rank
+/// gap.
 #[derive(Debug, Clone)]
 pub struct BestIterate {
     /// Module centers in normalized (unit length-scale) coordinates.
@@ -233,10 +236,10 @@ pub struct BestIterate {
 /// Everything the convex iteration carries between α rounds lives
 /// here: the rank penalty, the direction matrix `W`, the warm-start
 /// `svec(Z)`, the best iterate seen so far and the per-iteration
-/// trace. Cloning the struct is a checkpoint; handing the clone back
-/// to [`run_alpha_round`] resumes from it — the supervision layer
-/// ([`crate::supervisor`]) relies on this to roll back rounds whose
-/// state was poisoned by a numerical breakdown.
+/// trace. Cloning the struct is a checkpoint; handing the clone to
+/// [`SolveSupervisor::resume`](crate::SolveSupervisor::resume)
+/// resumes from it, and the supervisor rolls back to such a clone
+/// when a round's state was poisoned by a numerical breakdown.
 #[derive(Debug, Clone)]
 pub struct OuterState {
     /// Rank penalty for the next round.
@@ -336,7 +339,7 @@ impl OuterState {
 
 /// Why [`run_alpha_round`] returned without an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundOutcome {
+pub(crate) enum RoundOutcome {
     /// Rank certificate met — the algorithm is done.
     RankCertified,
     /// Inner iteration converged but the rank is not yet certified:
@@ -367,55 +370,6 @@ pub struct GlobalFloorplan {
     pub rounds: Vec<RoundSummary>,
 }
 
-/// The SDP-based global floorplanner (Algorithm 1).
-///
-/// See the [crate-level quickstart](crate).
-#[derive(Debug, Clone)]
-pub struct SdpFloorplanner {
-    settings: FloorplannerSettings,
-}
-
-impl SdpFloorplanner {
-    /// Creates a floorplanner with the given settings.
-    pub fn new(settings: FloorplannerSettings) -> Self {
-        SdpFloorplanner { settings }
-    }
-
-    /// Runs Algorithm 1 on the problem.
-    ///
-    /// # Errors
-    ///
-    /// Backend and encoding failures; see [`FloorplanError`]. Hitting
-    /// the iteration budgets is **not** an error — the best iterate is
-    /// returned with [`GlobalFloorplan::converged`] `false`.
-    pub fn solve(
-        &self,
-        problem: &GlobalFloorplanProblem,
-    ) -> Result<GlobalFloorplan, FloorplanError> {
-        let st = &self.settings;
-        let _solve_span = telemetry::span("sdp.solve");
-        // Work in normalized (unit length-scale) coordinates: the ADMM
-        // backend needs the lifted matrix to have O(1) entries.
-        let scale = problem.length_scale();
-        let norm = problem.normalized();
-        let mut state = OuterState::new(&norm, st);
-        while state.round < st.max_alpha_rounds && !state.converged {
-            match run_alpha_round(&norm, scale, st, &st.backend, &mut state)? {
-                RoundOutcome::RankCertified => break,
-                RoundOutcome::InnerConverged | RoundOutcome::IterBudget => {
-                    state.alpha *= st.alpha_growth;
-                    state.round += 1;
-                }
-            }
-        }
-        state
-            .into_floorplan(scale)
-            .ok_or_else(|| FloorplanError::InvalidProblem {
-                reason: "no iterations executed (check iteration budgets)".into(),
-            })
-    }
-}
-
 /// Rejects non-finite iterates before they poison downstream state.
 fn guard_finite(data: &[f64], stage: &'static str) -> Result<(), FloorplanError> {
     if data.iter().all(|v| v.is_finite()) {
@@ -444,7 +398,7 @@ fn guard_finite(data: &[f64], stage: &'static str) -> Result<(), FloorplanError>
 /// significantly indefinite. On error `state` keeps whatever the round
 /// wrote before the failed iteration — callers that need clean state
 /// roll back to a checkpoint clone (see [`crate::supervisor`]).
-pub fn run_alpha_round(
+pub(crate) fn run_alpha_round(
     problem: &GlobalFloorplanProblem,
     scale: f64,
     st: &FloorplannerSettings,
@@ -743,6 +697,18 @@ pub fn run_alpha_round(
     Ok(outcome)
 }
 
+/// Runs Algorithm 1 through the supervisor and asserts that no
+/// recovery was needed, so a sub-problem failure still fails the test.
+#[cfg(test)]
+fn solve_clean(
+    problem: &GlobalFloorplanProblem,
+    settings: FloorplannerSettings,
+) -> GlobalFloorplan {
+    let result = crate::SolveSupervisor::new(settings).solve(problem);
+    assert_eq!(result.recoveries, 0, "causes: {:?}", result.causes);
+    result.floorplan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,7 +731,7 @@ mod tests {
         let b = suite::gsrc_n10();
         let p =
             GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default()).unwrap();
-        let fp = SdpFloorplanner::new(tiny_settings()).solve(&p).unwrap();
+        let fp = solve_clean(&p, tiny_settings());
         assert_eq!(fp.positions.len(), 10);
         assert!(fp.iterations > 0);
         assert!(!fp.trace.is_empty());
@@ -790,7 +756,7 @@ mod tests {
         let b = suite::gsrc_n10();
         let p =
             GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default()).unwrap();
-        let fp = SdpFloorplanner::new(tiny_settings()).solve(&p).unwrap();
+        let fp = solve_clean(&p, tiny_settings());
         let first = fp.trace.first().unwrap().rank_gap;
         let last = fp.trace.last().unwrap().rank_gap;
         assert!(
@@ -808,7 +774,7 @@ mod tests {
         s.eps_rank = 1e-12; // unreachable: forces alpha escalation
         s.max_iter = 2;
         s.max_alpha_rounds = 3;
-        let fp = SdpFloorplanner::new(s.clone()).solve(&p).unwrap();
+        let fp = solve_clean(&p, s.clone());
         assert!(!fp.converged);
         let alphas: Vec<f64> = fp.trace.iter().map(|t| t.alpha).collect();
         assert!(alphas.windows(2).all(|w| w[1] >= w[0]));
@@ -825,7 +791,7 @@ mod tests {
             ..ProblemOptions::default()
         };
         let p = GlobalFloorplanProblem::from_netlist(&nl, &opts).unwrap();
-        let fp = SdpFloorplanner::new(tiny_settings()).solve(&p).unwrap();
+        let fp = solve_clean(&p, tiny_settings());
         for (i, &(x, y)) in fp.positions.iter().enumerate() {
             assert!(
                 x > -1.0 && x < outline.width + 1.0 && y > -1.0 && y < outline.height + 1.0,
@@ -845,7 +811,7 @@ mod tests {
             ..ProblemOptions::default()
         };
         let p = GlobalFloorplanProblem::from_netlist(&nl, &opts).unwrap();
-        let fp = SdpFloorplanner::new(tiny_settings()).solve(&p).unwrap();
+        let fp = solve_clean(&p, tiny_settings());
         let (x, y) = fp.positions[3];
         let tol = 0.05 * outline.width;
         assert!(
@@ -878,7 +844,7 @@ mod distance_control_tests {
         p.add_max_distance(i, j, bound);
         let mut s = FloorplannerSettings::fast();
         s.max_iter = 4;
-        let fp = SdpFloorplanner::new(s).solve(&p).unwrap();
+        let fp = solve_clean(&p, s);
         let d2 = (fp.positions[i].0 - fp.positions[j].0).powi(2)
             + (fp.positions[i].1 - fp.positions[j].1).powi(2);
         assert!(
@@ -899,7 +865,7 @@ mod distance_control_tests {
         assert!((bound - strong).abs() < 1e-9);
         let mut s = FloorplannerSettings::fast();
         s.max_iter = 4;
-        let fp = SdpFloorplanner::new(s).solve(&p).unwrap();
+        let fp = solve_clean(&p, s);
         let d2 = (fp.positions[i].0 - fp.positions[j].0).powi(2)
             + (fp.positions[i].1 - fp.positions[j].1).powi(2);
         assert!(
@@ -941,7 +907,7 @@ mod ipm_backend_tests {
         s.max_iter = 3;
         s.max_alpha_rounds = 4;
         s.backend = Backend::Ipm(BarrierSettings { eps: 1e-6 });
-        let ipm = SdpFloorplanner::new(s).solve(&p).unwrap();
+        let ipm = solve_clean(&p, s);
         assert_eq!(ipm.positions.len(), 10);
         assert!(ipm.positions.iter().all(|p| p.0.is_finite() && p.1.is_finite()));
         // The α escalation must drive the rank gap down overall (the

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use gfp_core::supervisor::{SolveSupervisor, SupervisorSettings};
-use gfp_core::{FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SdpFloorplanner};
+use gfp_core::{FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions};
 use gfp_netlist::suite;
 use gfp_parallel::{with_pool, ThreadPool};
 use gfp_telemetry as telemetry;
@@ -49,10 +49,9 @@ fn run_seeded_solve_signature() -> String {
     settings.max_iter = 3;
     settings.max_alpha_rounds = 3;
     let pool = ThreadPool::new(2);
-    let fp = with_pool(&pool, || {
-        SdpFloorplanner::new(settings).solve(&problem).unwrap()
-    });
-    assert_eq!(fp.positions.len(), 10);
+    let result = with_pool(&pool, || SolveSupervisor::new(settings).solve(&problem));
+    assert_eq!(result.recoveries, 0, "causes: {:?}", result.causes);
+    assert_eq!(result.floorplan.positions.len(), 10);
 
     telemetry::set_enabled(false);
     telemetry::install_sink(Arc::new(NullSink));

@@ -508,28 +508,3 @@ fn seeded_plan_is_deterministic_and_safe() {
         assert!(fired_sites.contains(&site), "no seed drew {site}");
     }
 }
-
-/// Disarmed means inert: with no plan armed, a supervised solve is
-/// bitwise the bare solver result (the hooks are pure pass-through).
-#[test]
-fn disarmed_hooks_do_not_perturb_the_solve() {
-    let _g = lock();
-    gfp_fault::disarm();
-    let problem = n10_problem();
-    let s = settings(admm_backend());
-    let bare = gfp_core::SdpFloorplanner::new(s.clone())
-        .solve(&problem)
-        .unwrap();
-    let supervised = SolveSupervisor::new(s).solve(&problem);
-    assert_eq!(supervised.recoveries, 0);
-    for (a, b) in bare
-        .positions
-        .iter()
-        .zip(supervised.floorplan.positions.iter())
-    {
-        assert_eq!(
-            (a.0.to_bits(), a.1.to_bits()),
-            (b.0.to_bits(), b.1.to_bits())
-        );
-    }
-}

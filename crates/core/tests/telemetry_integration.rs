@@ -1,12 +1,10 @@
-//! End-to-end telemetry: the convex-iteration driver emits exactly
-//! one `convex.iter` event per inner iteration, and the counters and
-//! span aggregates agree with the solver's own bookkeeping.
+//! End-to-end telemetry: a supervised solve emits exactly one
+//! `convex.iter` event per inner iteration, and the counters and span
+//! aggregates agree with the solver's own bookkeeping.
 
 use std::sync::Arc;
 
-use gfp_core::{
-    FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SdpFloorplanner,
-};
+use gfp_core::{FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SolveSupervisor};
 use gfp_netlist::suite;
 use gfp_telemetry as telemetry;
 
@@ -28,10 +26,10 @@ fn one_convex_iter_event_per_iteration_on_n10() {
         },
     )
     .expect("n10 problem");
-    let fp = SdpFloorplanner::new(FloorplannerSettings::fast())
-        .solve(&problem)
-        .expect("n10 solves");
+    let result = SolveSupervisor::new(FloorplannerSettings::fast()).solve(&problem);
     telemetry::set_enabled(false);
+    assert_eq!(result.recoveries, 0, "causes: {:?}", result.causes);
+    let fp = result.floorplan;
 
     assert!(fp.iterations > 0);
     let iters = sink.events_named("convex.iter");
@@ -60,6 +58,6 @@ fn one_convex_iter_event_per_iteration_on_n10() {
 
     // The span tree covers the solve.
     let report = telemetry::summary_report();
-    assert!(report.contains("sdp.solve"), "{report}");
+    assert!(report.contains("supervisor.solve"), "{report}");
     assert!(report.contains("sdp.alpha_round"), "{report}");
 }

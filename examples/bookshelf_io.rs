@@ -6,7 +6,7 @@
 //! cargo run --release --example bookshelf_io
 //! ```
 
-use gfp::core::{FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SdpFloorplanner};
+use gfp::core::{FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SolveSupervisor};
 use gfp::netlist::{bookshelf, suite};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = GlobalFloorplanProblem::from_netlist(&netlist, &ProblemOptions::default())?;
     let mut settings = FloorplannerSettings::fast();
     settings.max_iter = 4;
-    let result = SdpFloorplanner::new(settings).solve(&problem)?;
+    let result = SolveSupervisor::new(settings).solve(&problem).floorplan;
     println!(
         "floorplanned parsed netlist: {} iterations, rank gap {:.2e}",
         result.iterations, result.rank_gap

@@ -10,7 +10,7 @@
 //! cargo run --release --example preplaced_and_pins
 //! ```
 
-use gfp::core::{FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SdpFloorplanner};
+use gfp::core::{FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SolveSupervisor};
 use gfp::core::diagnostics::check_distance_feasibility;
 use gfp::netlist::suite;
 
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     settings.alpha_growth = 2.0;
     settings.max_alpha_rounds = 14;
     settings.max_iter = 10;
-    let result = SdpFloorplanner::new(settings).solve(&problem)?;
+    let result = SolveSupervisor::new(settings).solve(&problem).floorplan;
 
     let (fx, fy) = result.positions[3];
     println!("module 3 solved position: ({fx:.1}, {fy:.1}) — drift {:.2}",

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gfp::core::{GlobalFloorplanProblem, ProblemOptions, SdpFloorplanner};
+use gfp::core::{GlobalFloorplanProblem, ProblemOptions, SolveSupervisor};
 use gfp::legalize::{legalize, LegalizeSettings};
 use gfp::netlist::suite;
 
@@ -35,13 +35,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // 3. Global floorplanning: convex iteration between the two SDP
-    //    sub-problems (Algorithm 1). `fast()` only bounds the solver's
-    //    own budgets; for wall-clock limits, backend fallback and
-    //    never-fail degraded results, wrap the solve in
-    //    `gfp::core::SolveSupervisor` (see the README's Robustness
-    //    section).
+    //    sub-problems (Algorithm 1), run by the supervisor. `fast()`
+    //    bounds the solver's own budgets; the supervisor never fails,
+    //    and its `quality` verdict says how the solve ended (see the
+    //    README's Robustness section).
     let settings = gfp::core::FloorplannerSettings::fast();
-    let result = SdpFloorplanner::new(settings).solve(&problem)?;
+    let result = SolveSupervisor::new(settings).solve(&problem).floorplan;
     println!(
         "global floorplan: {} iterations, rank gap {:.2e}, converged: {}",
         result.iterations, result.rank_gap, result.converged

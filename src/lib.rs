@@ -19,17 +19,16 @@
 //!   the hooks compile to no-ops unless the `fault-inject` feature is
 //!   enabled.
 //!
-//! For solves that must never panic or return an error — batch runs,
-//! servers — wrap the floorplanner in a
-//! [`SolveSupervisor`](core::SolveSupervisor): it adds budgets,
-//! automatic ADMM↔IPM backend fallback and α backtracking, and always
-//! returns the best-known placement together with a machine-readable
-//! quality verdict.
+//! Every solve runs through a [`SolveSupervisor`](core::SolveSupervisor),
+//! which drives Algorithm 1's α rounds with budgets, automatic
+//! ADMM↔IPM backend fallback and α backtracking, and always returns the
+//! best-known placement together with a machine-readable quality
+//! verdict.
 //!
 //! # End-to-end example
 //!
 //! ```
-//! use gfp::core::{GlobalFloorplanProblem, ProblemOptions, FloorplannerSettings, SdpFloorplanner};
+//! use gfp::core::{GlobalFloorplanProblem, ProblemOptions, FloorplannerSettings, SolveSupervisor};
 //! use gfp::netlist::suite;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,8 +39,9 @@
 //! )?;
 //! let mut settings = FloorplannerSettings::fast();
 //! settings.max_iter = 3; // doc-test budget
-//! let plan = SdpFloorplanner::new(settings).solve(&problem)?;
-//! assert_eq!(plan.positions.len(), 10);
+//! let result = SolveSupervisor::new(settings).solve(&problem);
+//! println!("verdict: {}", result.quality.as_str());
+//! assert_eq!(result.floorplan.positions.len(), 10);
 //! # Ok(())
 //! # }
 //! ```

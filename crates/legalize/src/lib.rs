@@ -40,7 +40,6 @@
 mod error;
 
 pub mod constraint_graph;
-pub mod metrics;
 pub mod shape;
 
 pub use constraint_graph::{ConstraintGraph, Relation};

@@ -17,10 +17,11 @@
 //! accumulation keeps a fixed association order, so results are
 //! bitwise identical for every `GFP_THREADS` setting. [`Mat::matmul`],
 //! the Householder reduction behind [`eigh`] and [`spectral_side`], the
-//! CSR products and [`SparseCholesky`] run serially: the solver's dense
-//! products are n×2, one reduction step's O(m²) work is too small to
-//! pay for pool dispatch, an ADMM iteration makes one `A·x`, and a
-//! triangular sweep is a chain of dependent updates.
+//! CSR products and [`SparseCholesky`] run serially: the solver runs no
+//! dense product (`matmul` serves tests and [`Eigh::reconstruct`]), one
+//! reduction step's O(m²) work is too small to pay for pool dispatch,
+//! an ADMM iteration makes one `A·x`, and a triangular sweep is a chain
+//! of dependent updates.
 //!
 //! # Example
 //!

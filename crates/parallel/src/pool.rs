@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -64,8 +64,6 @@ struct Shared {
     queue: Mutex<VecDeque<Task>>,
     job_cv: Condvar,
     shutdown: AtomicBool,
-    peak_depth: AtomicUsize,
-    executed: AtomicU64,
 }
 
 impl Shared {
@@ -74,12 +72,11 @@ impl Shared {
     }
 }
 
-fn run_task(shared: &Shared, task: Task) {
+fn run_task(task: Task) {
     let result = catch_unwind(AssertUnwindSafe(task.job));
     if result.is_err() {
         task.latch.panicked.store(true, Ordering::SeqCst);
     }
-    shared.executed.fetch_add(1, Ordering::Relaxed);
     task.latch.decrement();
 }
 
@@ -110,8 +107,6 @@ impl ThreadPool {
             queue: Mutex::new(VecDeque::new()),
             job_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            peak_depth: AtomicUsize::new(0),
-            executed: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(nthreads);
         for idx in 0..nthreads {
@@ -133,16 +128,6 @@ impl ThreadPool {
     #[inline]
     pub fn num_threads(&self) -> usize {
         self.nthreads
-    }
-
-    /// Largest queue depth observed since construction (telemetry).
-    pub fn peak_queue_depth(&self) -> usize {
-        self.shared.peak_depth.load(Ordering::Relaxed)
-    }
-
-    /// Total jobs executed since construction (telemetry).
-    pub fn jobs_executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
     }
 
     /// Runs `f` with a [`Scope`] on which borrowing jobs can be
@@ -175,7 +160,6 @@ impl ThreadPool {
             q.push_back(task);
             q.len()
         };
-        self.shared.peak_depth.fetch_max(depth, Ordering::Relaxed);
         if telemetry::enabled() {
             // Per-job hot path: cached handles, not registry probes.
             static JOBS_SUBMITTED: telemetry::CounterHandle =
@@ -216,7 +200,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         match task {
-            Some(t) => run_task(shared, t),
+            Some(t) => run_task(t),
             None => return,
         }
     }
@@ -263,7 +247,7 @@ impl<'pool, 'scope> Scope<'pool, 'scope> {
             // Help: run whatever is queued (possibly other scopes'
             // jobs) instead of blocking a thread that could work.
             if let Some(task) = self.pool.shared.try_pop() {
-                run_task(&self.pool.shared, task);
+                run_task(task);
                 continue;
             }
             let pending = self.latch.pending.lock().expect("latch lock");

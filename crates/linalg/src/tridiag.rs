@@ -930,6 +930,55 @@ mod tests {
         }
     }
 
+    /// Every lane of [`bisect_block`] returns bitwise what the scalar
+    /// [`bisect_eigenvalue`] returns for its index: full and partial
+    /// blocks, loose and full-precision tolerances (at `tol = 0` the
+    /// lanes stop at different rounds), the whole Gershgorin bracket
+    /// and the half brackets `spectral_side` passes.
+    #[test]
+    fn bisect_block_lanes_match_scalar_bisection_bitwise() {
+        for n in [8usize, 33, 202] {
+            let mut q = random_sym(n as u64 + 77, n);
+            let (mut hh, mut e) = (vec![0.0; n], vec![0.0; n]);
+            tred2_reduce(&mut q, &mut hh, &mut e);
+            let d: Vec<f64> = (0..n).map(|i| q[(i, i)]).collect();
+            let e2: Vec<f64> = e.iter().map(|&x| x * x).collect();
+            let scale = (0..n)
+                .map(|i| {
+                    let lo = if i > 0 { e[i].abs() } else { 0.0 };
+                    let hi = if i + 1 < n { e[i + 1].abs() } else { 0.0 };
+                    d[i].abs() + lo + hi
+                })
+                .fold(0.0f64, f64::max);
+            let n_neg = sturm_count(&d, &e, 0.0);
+            let brackets = [
+                (0..n, -scale, scale),
+                (0..n_neg, -scale, 0.0),
+                (n_neg..n, 0.0, scale),
+            ];
+            for (targets, blo, bhi) in brackets {
+                for tol in [BISECT_REL_TOL * scale, 0.0] {
+                    for lanes in 1..=BISECT_LANES {
+                        for j0 in targets.clone().step_by(lanes) {
+                            let m = lanes.min(targets.end - j0);
+                            let mut out = vec![f64::NAN; m];
+                            bisect_block(&d, &e2, j0, blo, bhi, tol, &mut out);
+                            for (l, got) in out.iter().enumerate() {
+                                let want = bisect_eigenvalue(&d, &e, j0 + l, blo, bhi, tol);
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "n={n} [{blo}, {bhi}] tol={tol} lanes={lanes} j={}",
+                                    j0 + l
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The one-eigenvector-at-a-time reflector loop: the bitwise
     /// reference for [`apply_reflectors`].
     fn apply_reflectors_one_row(a: &Mat, hh: &[f64], s: &mut Mat) {
@@ -955,8 +1004,9 @@ mod tests {
             let mut q = random_sym(n as u64 + 31, n);
             let (mut hh, mut e) = (vec![0.0; n], vec![0.0; n]);
             tred2_reduce(&mut q, &mut hh, &mut e);
-            // 1..=9 columns: one and two groups of four, every remainder.
-            for cols in 1..=9 {
+            // 1..=9 columns: one and two groups of four, every
+            // remainder; 15, 16, 17 and 33 fill and split groups of 16.
+            for cols in (1..=9).chain([15, 16, 17, 33]) {
                 let mut rng = Rng::seed_from_u64((n * 16 + cols) as u64);
                 let mut got = Mat::zeros(n, cols);
                 for v in got.as_mut_slice() {

@@ -1,5 +1,7 @@
-use gfp_linalg::svec::{smat, svec_into, svec_len};
-use gfp_linalg::{eigh, spectral_accumulate, spectral_side, vec_ops, SideKind};
+use std::ops::Range;
+
+use gfp_linalg::svec::{smat, svec_len, SQRT2};
+use gfp_linalg::{eigh, spectral_side, vec_ops, Mat, SideKind};
 use gfp_telemetry as telemetry;
 
 /// One factor of the Cartesian product cone `K`.
@@ -121,7 +123,7 @@ fn project_soc(v: &mut [f64], n: usize) {
 /// Gershgorin screen for a symmetric matrix: `Some(true)` when every
 /// disc lies in `λ ≥ 0` (provably PSD), `Some(false)` when every disc
 /// lies in `λ ≤ 0` (provably NSD), `None` when inconclusive.
-fn gershgorin_sign(m: &gfp_linalg::Mat) -> Option<bool> {
+fn gershgorin_sign(m: &Mat) -> Option<bool> {
     let n = m.nrows();
     let mut all_psd = true;
     let mut all_nsd = true;
@@ -238,37 +240,122 @@ fn project_psd(v: &mut [f64], n: usize) {
         record_psd(timer, "all_nonneg");
         return;
     }
-    const DIRECT_MAX_N: usize = 32;
-    let out = if n < DIRECT_MAX_N {
-        // Small blocks: the banded panel kernel's setup cost exceeds
-        // the O(n³) work, so accumulate the positive side directly.
-        let mut out = gfp_linalg::Mat::zeros(n, n);
-        for k in n - npos..n {
-            let lam = e.values[k];
-            for i in 0..n {
-                let vik = e.vectors[(i, k)];
-                if vik == 0.0 {
-                    continue;
-                }
-                for j in 0..=i {
-                    out[(i, j)] += lam * vik * e.vectors[(j, k)];
-                }
-            }
-        }
-        for i in 0..n {
-            for j in 0..i {
-                out[(j, i)] = out[(i, j)];
-            }
-        }
-        out
-    } else if npos <= nneg {
-        spectral_accumulate(&e.vectors, &e.values, n - npos..n, None)
+    // Blocks below order 32 always sum the positive side.
+    if n < 32 || npos <= nneg {
+        write_projection(v, &e.vectors, &e.values, n - npos..n, false);
     } else {
         let negated: Vec<f64> = e.values.iter().map(|&l| -l).collect();
-        spectral_accumulate(&e.vectors, &negated, 0..nneg, Some(&m))
-    };
-    svec_into(&out, v);
+        write_projection(v, &e.vectors, &negated, 0..nneg, true);
+    }
     record_psd(timer, "eigh");
+}
+
+/// Lanes of [`write_projection`]: sixteen entries of one `svec` column
+/// are sixteen independent dot-product chains (eight SSE2 registers).
+const WRITER_LANES: usize = 16;
+
+/// Work (`n²·p/2` multiply-adds) below which [`write_projection`]
+/// stays serial.
+const WRITER_PARALLEL_WORK: usize = 64 * 64 * 16;
+
+/// Writes the projection `P = B + Σ_{k ∈ cols} weights[k]·u_k u_kᵀ`
+/// (`u_k` column `k` of `vectors`) straight into the `svec` block `v`,
+/// where `B` is the matrix `v` holds when `keep_base` is set and zero
+/// otherwise.
+///
+/// Entry `(i, j)` is `base + Σ_t (weights[k_t]·u_{i,k_t})·u_{j,k_t}`,
+/// summed over `t` ascending from the neutral element
+/// `Iterator::sum` starts from, with `base` read back from `v` exactly
+/// as `smat` reads it (`v/√2` off the diagonal); off-diagonal entries
+/// are stored times `√2`. Those are the expressions, in the same order,
+/// of `gfp_linalg::spectral_accumulate` followed by `svec`, and of a
+/// direct positive-side loop that skips zero terms and starts from
+/// `+0.0` (neither changes a bit once `base + Σ` is formed), which the
+/// projection ran before; `crates/conic/tests/projection_bits.rs` pins
+/// them.
+///
+/// Sixteen consecutive entries of an `svec` column run as lanes over
+/// one broadcast of `u_{j,k_t}`, reading the weighted vectors from a
+/// `t`-major copy padded by a lane group of zeros. Columns fan out to
+/// the pool in contiguous ranges that depend on `n` only; each entry
+/// is written by one job, so the bits do not depend on the worker
+/// count.
+fn write_projection(
+    v: &mut [f64],
+    vectors: &Mat,
+    weights: &[f64],
+    cols: Range<usize>,
+    keep_base: bool,
+) {
+    let n = vectors.nrows();
+    let p = cols.len();
+    let stride = n + WRITER_LANES;
+    let mut plain = vec![0.0; n * p];
+    let mut scaled = vec![0.0; p * stride];
+    for i in 0..n {
+        let row = &vectors.row(i)[cols.clone()];
+        for (t, (&x, &w)) in row.iter().zip(&weights[cols.clone()]).enumerate() {
+            plain[i * p + t] = x;
+            scaled[t * stride + i] = w * x;
+        }
+    }
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    // Column j of the block starts at svec_index(n, j, j).
+    let write_columns = |j0: usize, chunk: &mut [f64]| {
+        let mut j = j0;
+        let mut rest = chunk;
+        while !rest.is_empty() {
+            let (col, tail) = rest.split_at_mut(n - j);
+            let prow = &plain[j * p..(j + 1) * p];
+            for (b, out) in col.chunks_mut(WRITER_LANES).enumerate() {
+                let i0 = j + b * WRITER_LANES;
+                let mut acc = [zero; WRITER_LANES];
+                for (t, &uj) in prow.iter().enumerate() {
+                    let lanes = &scaled[t * stride + i0..][..WRITER_LANES];
+                    for c in 0..WRITER_LANES {
+                        acc[c] += lanes[c] * uj;
+                    }
+                }
+                for (c, slot) in out.iter_mut().enumerate() {
+                    let diag = i0 + c == j;
+                    let base = match (keep_base, diag) {
+                        (false, _) => 0.0,
+                        (true, true) => *slot,
+                        (true, false) => *slot / SQRT2,
+                    };
+                    let x = base + acc[c];
+                    *slot = if diag { x } else { SQRT2 * x };
+                }
+            }
+            rest = tail;
+            j += 1;
+        }
+    };
+    if gfp_parallel::should_parallelize(
+        n * n / 2 * p,
+        WRITER_PARALLEL_WORK,
+        WRITER_PARALLEL_WORK / 4,
+    ) {
+        // Eight column ranges of about equal entry counts.
+        let mut starts = Vec::new();
+        let mut chunks: Vec<&mut [f64]> = Vec::new();
+        let target = svec_len(n).div_ceil(8);
+        let (mut rest, mut j) = (v, 0);
+        while j < n {
+            let (mut len, j_start) = (0, j);
+            while j < n && len < target {
+                len += n - j;
+                j += 1;
+            }
+            let (chunk, tail) = rest.split_at_mut(len);
+            starts.push(j_start);
+            chunks.push(chunk);
+            rest = tail;
+        }
+        gfp_parallel::parallel_for_each_chunk(chunks, |ci, chunk| write_columns(starts[ci], chunk));
+    } else {
+        write_columns(0, v);
+    }
 }
 
 /// Block size from which the partial-spectrum projection is worth
@@ -297,7 +384,7 @@ const PSD_PARTIAL_TOL: f64 = 1e-9;
 /// The decision is a pure function of the block data (never of global
 /// adaptive state), so the projection's bits do not depend on the
 /// worker count or on which projections ran before it.
-fn try_partial_psd(m: &gfp_linalg::Mat, v: &mut [f64]) -> bool {
+fn try_partial_psd(m: &Mat, v: &mut [f64]) -> bool {
     let side = match spectral_side(m, PSD_PARTIAL_TOL) {
         Ok(Some(side)) => side,
         _ => return false,
@@ -311,8 +398,7 @@ fn try_partial_psd(m: &gfp_linalg::Mat, v: &mut [f64]) -> bool {
                 return true;
             }
             let negated: Vec<f64> = side.values.iter().map(|&l| -l).collect();
-            let out = spectral_accumulate(&side.vectors, &negated, 0..q, Some(m));
-            svec_into(&out, v);
+            write_projection(v, &side.vectors, &negated, 0..q, true);
         }
         SideKind::Positive => {
             if q == 0 {
@@ -320,8 +406,7 @@ fn try_partial_psd(m: &gfp_linalg::Mat, v: &mut [f64]) -> bool {
                 v.fill(0.0);
                 return true;
             }
-            let out = spectral_accumulate(&side.vectors, &side.values, 0..q, None);
-            svec_into(&out, v);
+            write_projection(v, &side.vectors, &side.values, 0..q, false);
         }
     }
     true

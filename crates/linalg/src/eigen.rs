@@ -495,9 +495,9 @@ fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<(), LinalgError> {
 }
 
 /// Computes `base + Σ_{k ∈ cols} weights[k] · v_k v_kᵀ`, where `v_k`
-/// is column `k` of `vectors` — the spectral reconstruction shared by
-/// the PSD-cone projection (`V·diag(max(λ,0))·Vᵀ`) and the direction
-/// matrix `W = U Uᵀ` of Eq. 19.
+/// is column `k` of `vectors` — the direction matrix `W = U Uᵀ` of
+/// Eq. 19. (The PSD-cone projection writes the same sums straight into
+/// its `svec` block.)
 ///
 /// The n² entry sums run as independent row bands on the pool, each
 /// accumulating over `k` in ascending order, so the result is bitwise

@@ -48,32 +48,18 @@ pub fn svec_index(n: usize, i: usize, j: usize) -> usize {
 /// Panics if `a` is not square.
 pub fn svec(a: &Mat) -> Vec<f64> {
     assert!(a.is_square(), "svec requires a square matrix");
-    let mut v = vec![0.0; svec_len(a.nrows())];
-    svec_into(a, &mut v);
-    v
-}
-
-/// Vectorizes a symmetric matrix into a pre-allocated buffer
-/// (allocation-free variant of [`svec`] for per-iteration hot loops).
-///
-/// # Panics
-///
-/// Panics if `a` is not square or `v` has the wrong length.
-pub fn svec_into(a: &Mat, v: &mut [f64]) {
-    assert!(a.is_square(), "svec requires a square matrix");
     let n = a.nrows();
-    assert_eq!(v.len(), svec_len(n), "svec: output length mismatch");
-    let mut k = 0;
+    let mut v = Vec::with_capacity(svec_len(n));
     for j in 0..n {
         for i in j..n {
-            v[k] = if i == j {
+            v.push(if i == j {
                 a[(i, j)]
             } else {
                 SQRT2 * a[(i, j)]
-            };
-            k += 1;
+            });
         }
     }
+    v
 }
 
 /// Reconstructs the symmetric matrix from its vectorization.
@@ -84,23 +70,6 @@ pub fn svec_into(a: &Mat, v: &mut [f64]) {
 pub fn smat(v: &[f64]) -> Mat {
     let n = svec_dim(v.len()).expect("svec length must be triangular");
     let mut a = Mat::zeros(n, n);
-    smat_into(v, &mut a);
-    a
-}
-
-/// Reconstructs the symmetric matrix into a pre-allocated `Mat`
-/// (allocation-free variant of [`smat`]).
-///
-/// # Panics
-///
-/// Panics if `a`'s shape does not match `v.len()`.
-pub fn smat_into(v: &[f64], a: &mut Mat) {
-    let n = svec_dim(v.len()).expect("svec length must be triangular");
-    assert_eq!(
-        (a.nrows(), a.ncols()),
-        (n, n),
-        "smat: output shape mismatch"
-    );
     let mut k = 0;
     for j in 0..n {
         for i in j..n {
@@ -114,6 +83,7 @@ pub fn smat_into(v: &[f64], a: &mut Mat) {
             k += 1;
         }
     }
+    a
 }
 
 #[cfg(test)]

@@ -358,17 +358,15 @@ fn sturm_count(d: &[f64], e: &[f64], x: f64) -> usize {
 /// recurrences to cover the floating-point divider's latency.
 const BISECT_LANES: usize = 8;
 
-/// Sturm counts for up to [`BISECT_LANES`] shifts at once. `e2` holds
-/// the squared subdiagonal. Interleaving the per-shift recurrences
-/// lets the independent divisions pipeline; each lane computes exactly
-/// the same values as [`sturm_count`] at its shift.
-fn sturm_count_multi(d: &[f64], e2: &[f64], xs: &[f64], counts: &mut [usize]) {
-    let n = d.len();
-    let m = xs.len();
-    debug_assert!(m <= BISECT_LANES && counts.len() == m);
+/// Sturm counts at [`BISECT_LANES`] shifts at once. `e2` holds the
+/// squared subdiagonal. The lane count is fixed, so the recurrences
+/// run as vector lanes and their divisions pipeline; each lane
+/// computes exactly the same values as [`sturm_count`] at its shift.
+fn sturm_count_lanes(d: &[f64], e2: &[f64], xs: &[f64; BISECT_LANES]) -> [usize; BISECT_LANES] {
     let pivmin = f64::MIN_POSITIVE.max(1e-300);
     let mut piv = [0.0f64; BISECT_LANES];
-    for l in 0..m {
+    let mut counts = [0usize; BISECT_LANES];
+    for l in 0..BISECT_LANES {
         let mut p = d[0] - xs[l];
         if p.abs() < pivmin {
             p = -pivmin;
@@ -376,10 +374,8 @@ fn sturm_count_multi(d: &[f64], e2: &[f64], xs: &[f64], counts: &mut [usize]) {
         counts[l] = (p < 0.0) as usize;
         piv[l] = p;
     }
-    for i in 1..n {
-        let di = d[i];
-        let e2i = e2[i];
-        for l in 0..m {
+    for (&di, &e2i) in d[1..].iter().zip(&e2[1..]) {
+        for l in 0..BISECT_LANES {
             let mut p = di - xs[l] - e2i / piv[l];
             if p.abs() < pivmin {
                 p = -pivmin;
@@ -388,13 +384,17 @@ fn sturm_count_multi(d: &[f64], e2: &[f64], xs: &[f64], counts: &mut [usize]) {
             piv[l] = p;
         }
     }
+    counts
 }
 
 /// Bisects eigenvalues `j0..j0 + out.len()` (ascending indices) of the
 /// tridiagonal `(d, e²)` inside `[blo, bhi]` to within `tol`, running
-/// all brackets in lockstep so every round issues one batched Sturm
-/// evaluation. Per-lane bracket updates are independent, so each
-/// result is bitwise identical to a scalar [`bisect_eigenvalue`] run.
+/// all brackets in lockstep so every round issues one Sturm evaluation
+/// of all [`BISECT_LANES`] lanes. A lane that has finished, and a lane
+/// past `out.len()`, is frozen: it is still evaluated (at a finite
+/// shift), but its bracket no longer moves. Per-lane bracket updates
+/// are independent, so each result is bitwise identical to a scalar
+/// [`bisect_eigenvalue`] run.
 fn bisect_block(d: &[f64], e2: &[f64], j0: usize, blo: f64, bhi: f64, tol: f64, out: &mut [f64]) {
     let m = out.len();
     debug_assert!(m <= BISECT_LANES);
@@ -402,34 +402,26 @@ fn bisect_block(d: &[f64], e2: &[f64], j0: usize, blo: f64, bhi: f64, tol: f64, 
     let mut hi = [bhi; BISECT_LANES];
     let mut active = [false; BISECT_LANES];
     active[..m].fill(true);
-    let mut xs = [0.0f64; BISECT_LANES];
-    let mut map = [0usize; BISECT_LANES];
-    let mut counts = [0usize; BISECT_LANES];
     for _round in 0..64 {
-        let mut k = 0;
-        for l in 0..m {
+        let mut xs = [0.0f64; BISECT_LANES];
+        for l in 0..BISECT_LANES {
+            xs[l] = 0.5 * (lo[l] + hi[l]);
+            if xs[l] <= lo[l] || xs[l] >= hi[l] {
+                active[l] = false;
+            }
+        }
+        if !active.contains(&true) {
+            break;
+        }
+        let counts = sturm_count_lanes(d, e2, &xs);
+        for l in 0..BISECT_LANES {
             if !active[l] {
                 continue;
             }
-            let mid = 0.5 * (lo[l] + hi[l]);
-            if mid <= lo[l] || mid >= hi[l] {
-                active[l] = false;
-                continue;
-            }
-            xs[k] = mid;
-            map[k] = l;
-            k += 1;
-        }
-        if k == 0 {
-            break;
-        }
-        sturm_count_multi(d, e2, &xs[..k], &mut counts[..k]);
-        for t in 0..k {
-            let l = map[t];
-            if counts[t] > j0 + l {
-                hi[l] = xs[t];
+            if counts[l] > j0 + l {
+                hi[l] = xs[l];
             } else {
-                lo[l] = xs[t];
+                lo[l] = xs[l];
             }
             let floor = 2.0 * f64::EPSILON * (lo[l].abs().max(hi[l].abs()) + f64::MIN_POSITIVE);
             if hi[l] - lo[l] <= tol.max(floor) {
@@ -644,12 +636,21 @@ impl TridiagLu {
     /// Solves `(T − λI) x = b` in place.
     fn solve(&self, b: &mut [f64]) {
         let n = b.len();
-        // Forward: apply the recorded swaps and multipliers.
-        for i in 0..n.saturating_sub(1) {
-            if self.swap[i] {
-                b.swap(i, i + 1);
+        // Forward: apply the recorded swaps and multipliers. The swap is
+        // a select on the running entry, not a branch on the data.
+        if n > 0 {
+            let mut cur = b[0];
+            for i in 0..n - 1 {
+                let next = b[i + 1];
+                let (pivot, other) = if self.swap[i] {
+                    (next, cur)
+                } else {
+                    (cur, next)
+                };
+                b[i] = pivot;
+                cur = other - self.l[i] * pivot;
             }
-            b[i + 1] -= self.l[i] * b[i];
+            b[n - 1] = cur;
         }
         // Backward: U has two superdiagonals.
         for i in (0..n).rev() {
@@ -681,93 +682,155 @@ impl TridiagLu {
     }
 }
 
+/// Eigenvectors per reflector group: sixteen `f64` lanes are four AVX2
+/// (eight SSE2) registers of independent dot-product chains.
+const REFLECT_LANES: usize = 16;
+
+/// A group of lanes through every reflector: `(a, hh, companion rows,
+/// lane-major group)`.
+type ReflectBody = fn(&Mat, &[f64], &[f64], &mut [f64]);
+
 /// Applies the Householder reflectors stored by
 /// [`tred2_reduce`] to the columns of `s`, computing `Q·s` without
 /// forming `Q`. Ascending step order matches `tred2_form_q`, so this
 /// is exactly the transformation the dense path would apply.
 ///
-/// Works on the transpose of `s` (one contiguous buffer row per
-/// eigenvector) with a pre-transposed copy of the reflector matrix,
-/// so both inner loops stream contiguous memory. Eigenvectors go four
-/// at a time, their dot products with each reflector as independent
-/// chains over one load of the reflector row. Groups of four are
-/// independent; they fan out to the pool (each eigenvector is read
-/// and written by exactly one job), and every eigenvector sees the
-/// same operations in the same order at any grouping, preserving the
-/// bitwise determinism contract.
+/// Runs [`reflect_group_portable`]'s one loop, compiled for AVX2 when
+/// the host has it (the same IEEE operations in the same order on
+/// wider vectors, as in [`tred2_reduce`]).
 pub(crate) fn apply_reflectors(a: &Mat, hh: &[f64], s: &mut Mat) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return apply_reflectors_with(a, hh, s, |a, hh, comp, group| {
+            // SAFETY: `reflect_group_avx2` needs AVX2 and nothing else;
+            // this body is only chosen after the check above found it.
+            unsafe { reflect_group_avx2(a, hh, comp, group) }
+        });
+    }
+    apply_reflectors_with(a, hh, s, reflect_group_portable)
+}
+
+/// [`apply_reflectors`] with the group body `body`.
+///
+/// Eigenvectors go [`REFLECT_LANES`] at a time, interleaved lane-major
+/// (entry `k` of every lane in one contiguous run, which is a slice of
+/// a row of `s`), so each reflector's dot products advance all lanes
+/// over one load of the reflector entry. A last group of fewer columns
+/// is split into groups of four, zero-padded. The companion of
+/// reflector `i` (column `i` of `a`, which `tred2_reduce` stores as
+/// the quotient `a[(i,k)] / hh[i]`) is recomputed as that quotient
+/// into one contiguous row per reflector. Groups are independent; they
+/// fan out to the pool (each eigenvector is read and written by
+/// exactly one job), and every eigenvector sees the same operations in
+/// the same order at any grouping, preserving the bitwise determinism
+/// contract.
+fn apply_reflectors_with(a: &Mat, hh: &[f64], s: &mut Mat, body: ReflectBody) {
     let n = a.nrows();
     assert_eq!(s.nrows(), n, "reflector/vector shape mismatch");
     let ncols = s.ncols();
     if ncols == 0 {
         return;
     }
-    // at.row(i) is column i of `a` — the second reflector operand —
-    // laid out contiguously.
-    let at = a.transpose();
-    let mut st = vec![0.0f64; ncols * n];
-    for i in 0..n {
-        for j in 0..ncols {
-            st[j * n + i] = s[(i, j)];
+    // Companion row i (i entries) starts at i(i−1)/2; skipped steps'
+    // rows stay zero and are never read.
+    let mut comp = vec![0.0f64; n * n.saturating_sub(1) / 2];
+    for i in 1..n {
+        if hh[i] != 0.0 {
+            let h = hh[i];
+            let row = &mut comp[i * (i - 1) / 2..][..i];
+            for (c, &x) in row.iter_mut().zip(&a.row(i)[..i]) {
+                *c = x / h;
+            }
         }
     }
-    let apply_rows = |chunk: &mut [f64]| {
-        if chunk.len() == 4 * n {
-            let (r0, rest) = chunk.split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            for i in 0..n {
-                if hh[i] == 0.0 {
-                    continue;
-                }
-                let arow = &a.row(i)[..i];
-                let acol = &at.row(i)[..i];
-                let (r0, r1, r2, r3) = (&mut r0[..i], &mut r1[..i], &mut r2[..i], &mut r3[..i]);
-                let (mut g0, mut g1, mut g2, mut g3) = (0.0, 0.0, 0.0, 0.0);
-                for k in 0..i {
-                    let x = arow[k];
-                    g0 += x * r0[k];
-                    g1 += x * r1[k];
-                    g2 += x * r2[k];
-                    g3 += x * r3[k];
-                }
-                for k in 0..i {
-                    let c = acol[k];
-                    r0[k] -= g0 * c;
-                    r1[k] -= g1 * c;
-                    r2[k] -= g2 * c;
-                    r3[k] -= g3 * c;
-                }
-            }
-            return;
+    // Group widths: full groups of 16, then fours (the last padded).
+    let full = ncols / REFLECT_LANES;
+    let quads = (ncols % REFLECT_LANES).div_ceil(4);
+    let widths: Vec<usize> = std::iter::repeat_n(REFLECT_LANES, full)
+        .chain(std::iter::repeat_n(4, quads))
+        .collect();
+    let total: usize = widths.iter().sum();
+    let mut buf = vec![0.0f64; total * n];
+    let mut chunks: Vec<&mut [f64]> = Vec::with_capacity(widths.len());
+    let mut rest = buf.as_mut_slice();
+    let mut j0 = 0;
+    for &w in &widths {
+        let (group, tail) = rest.split_at_mut(w * n);
+        let live = w.min(ncols - j0);
+        for (k, lanes) in group.chunks_exact_mut(w).enumerate() {
+            lanes[..live].copy_from_slice(&s.row(k)[j0..j0 + live]);
         }
-        for r in chunk.chunks_mut(n) {
-            for i in 0..n {
-                if hh[i] == 0.0 {
-                    continue;
-                }
-                let arow = &a.row(i)[..i];
-                let acol = &at.row(i)[..i];
-                let mut g = 0.0;
-                for k in 0..i {
-                    g += arow[k] * r[k];
-                }
-                for k in 0..i {
-                    r[k] -= g * acol[k];
-                }
-            }
-        }
-    };
-    let chunks: Vec<&mut [f64]> = st.chunks_mut(4 * n).collect();
+        chunks.push(group);
+        rest = tail;
+        j0 += w;
+    }
     let work = n * n * ncols;
     if gfp_parallel::should_parallelize(work, 64 * 64 * 16, 32 * 32 * 16) {
-        gfp_parallel::parallel_for_each_chunk(chunks, |_ci, chunk| apply_rows(chunk));
+        gfp_parallel::parallel_for_each_chunk(chunks, |_ci, group| body(a, hh, &comp, group));
     } else {
-        chunks.into_iter().for_each(apply_rows);
+        for group in chunks {
+            body(a, hh, &comp, group);
+        }
     }
-    for i in 0..n {
-        for j in 0..ncols {
-            s[(i, j)] = st[j * n + i];
+    let mut j0 = 0;
+    let mut groups = buf.as_slice();
+    for &w in &widths {
+        let (group, tail) = groups.split_at(w * n);
+        let live = w.min(ncols - j0);
+        for (k, lanes) in group.chunks_exact(w).enumerate() {
+            s.row_mut(k)[j0..j0 + live].copy_from_slice(&lanes[..live]);
+        }
+        groups = tail;
+        j0 += w;
+    }
+}
+
+/// [`reflect_group_portable`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn reflect_group_avx2(a: &Mat, hh: &[f64], comp: &[f64], group: &mut [f64]) {
+    reflect_group_portable(a, hh, comp, group)
+}
+
+/// The body of [`apply_reflectors`] for one lane-major group of
+/// [`REFLECT_LANES`] or four eigenvectors, inlined into each build.
+#[inline(always)]
+fn reflect_group_portable(a: &Mat, hh: &[f64], comp: &[f64], group: &mut [f64]) {
+    if group.len() == REFLECT_LANES * a.nrows() {
+        reflect_lanes::<REFLECT_LANES>(a, hh, comp, group);
+    } else {
+        reflect_lanes::<4>(a, hh, comp, group);
+    }
+}
+
+/// Reflector `i` on every lane `c`: `g_c = Σ_k a[(i,k)]·r_c[k]`, then
+/// `r_c[k] −= g_c·(a[(i,k)] / hh[i])`, each `k` ascending — per lane,
+/// the one-eigenvector loop's operations in its order.
+#[inline(always)]
+fn reflect_lanes<const W: usize>(a: &Mat, hh: &[f64], comp: &[f64], group: &mut [f64]) {
+    let n = a.nrows();
+    debug_assert_eq!(group.len(), W * n);
+    for i in 1..n {
+        if hh[i] == 0.0 {
+            continue;
+        }
+        let arow = &a.row(i)[..i];
+        let crow = &comp[i * (i - 1) / 2..][..i];
+        let head = &mut group[..i * W];
+        let mut g = [0.0f64; W];
+        for (&x, r) in arow.iter().zip(head.chunks_exact(W)) {
+            for c in 0..W {
+                g[c] += x * r[c];
+            }
+        }
+        for (&y, r) in crow.iter().zip(head.chunks_exact_mut(W)) {
+            for c in 0..W {
+                r[c] -= g[c] * y;
+            }
         }
     }
 }
@@ -1000,23 +1063,39 @@ mod tests {
 
     #[test]
     fn apply_reflectors_matches_one_row_reference_bitwise() {
+        // Both builds of the group body: the portable one, and its AVX2
+        // build when the host has AVX2.
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut bodies: Vec<(&str, ReflectBody)> = vec![("portable", reflect_group_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            bodies.push(("avx2", |a, hh, comp, group| {
+                // SAFETY: this body is only listed when the host has
+                // AVX2, checked just above.
+                unsafe { reflect_group_avx2(a, hh, comp, group) }
+            }));
+        }
         for n in [8usize, 33, 202] {
             let mut q = random_sym(n as u64 + 31, n);
             let (mut hh, mut e) = (vec![0.0; n], vec![0.0; n]);
             tred2_reduce(&mut q, &mut hh, &mut e);
-            // 1..=9 columns: one and two groups of four, every
-            // remainder; 15, 16, 17 and 33 fill and split groups of 16.
+            // 1..=9 columns: groups of four, every remainder; 15, 16, 17
+            // and 33 fill and split groups of 16.
             for cols in (1..=9).chain([15, 16, 17, 33]) {
                 let mut rng = Rng::seed_from_u64((n * 16 + cols) as u64);
-                let mut got = Mat::zeros(n, cols);
-                for v in got.as_mut_slice() {
+                let mut start = Mat::zeros(n, cols);
+                for v in start.as_mut_slice() {
                     *v = 2.0 * rng.gen_f64() - 1.0;
                 }
-                let mut want = got.clone();
-                apply_reflectors(&q, &hh, &mut got);
+                let mut want = start.clone();
                 apply_reflectors_one_row(&q, &hh, &mut want);
-                for (k, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "n={n} cols={cols} slot {k}");
+                for &(body, run) in &bodies {
+                    let mut got = start.clone();
+                    apply_reflectors_with(&q, &hh, &mut got, run);
+                    for (k, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        let what = format!("{body} n={n} cols={cols} slot {k}");
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+                    }
                 }
             }
         }

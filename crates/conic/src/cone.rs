@@ -254,10 +254,6 @@ fn project_psd(v: &mut [f64], n: usize) {
 /// are sixteen independent dot-product chains (eight SSE2 registers).
 const WRITER_LANES: usize = 16;
 
-/// Work (`n²·p/2` multiply-adds) below which [`write_projection`]
-/// stays serial.
-const WRITER_PARALLEL_WORK: usize = 64 * 64 * 16;
-
 /// Writes the projection `P = B + Σ_{k ∈ cols} weights[k]·u_k u_kᵀ`
 /// (`u_k` column `k` of `vectors`) straight into the `svec` block `v`,
 /// where `B` is the matrix `v` holds when `keep_base` is set and zero
@@ -276,10 +272,9 @@ const WRITER_PARALLEL_WORK: usize = 64 * 64 * 16;
 ///
 /// Sixteen consecutive entries of an `svec` column run as lanes over
 /// one broadcast of `u_{j,k_t}`, reading the weighted vectors from a
-/// `t`-major copy padded by a lane group of zeros. Columns fan out to
-/// the pool in contiguous ranges that depend on `n` only; each entry
-/// is written by one job, so the bits do not depend on the worker
-/// count.
+/// `t`-major copy padded by a lane group of zeros. The writer runs
+/// serially: on `flat_n200` a pool dispatch of its columns bought
+/// nothing measurable (DESIGN §9).
 fn write_projection(
     v: &mut [f64],
     vectors: &Mat,
@@ -300,61 +295,32 @@ fn write_projection(
         }
     }
     let zero: f64 = std::iter::empty::<f64>().sum();
-    // Column j of the block starts at svec_index(n, j, j).
-    let write_columns = |j0: usize, chunk: &mut [f64]| {
-        let mut j = j0;
-        let mut rest = chunk;
-        while !rest.is_empty() {
-            let (col, tail) = rest.split_at_mut(n - j);
-            let prow = &plain[j * p..(j + 1) * p];
-            for (b, out) in col.chunks_mut(WRITER_LANES).enumerate() {
-                let i0 = j + b * WRITER_LANES;
-                let mut acc = [zero; WRITER_LANES];
-                for (t, &uj) in prow.iter().enumerate() {
-                    let lanes = &scaled[t * stride + i0..][..WRITER_LANES];
-                    for c in 0..WRITER_LANES {
-                        acc[c] += lanes[c] * uj;
-                    }
-                }
-                for (c, slot) in out.iter_mut().enumerate() {
-                    let diag = i0 + c == j;
-                    let base = match (keep_base, diag) {
-                        (false, _) => 0.0,
-                        (true, true) => *slot,
-                        (true, false) => *slot / SQRT2,
-                    };
-                    let x = base + acc[c];
-                    *slot = if diag { x } else { SQRT2 * x };
+    // Column j of the block: entries (j..n, j), in svec order.
+    let mut rest = v;
+    for j in 0..n {
+        let (col, tail) = rest.split_at_mut(n - j);
+        let prow = &plain[j * p..(j + 1) * p];
+        for (b, out) in col.chunks_mut(WRITER_LANES).enumerate() {
+            let i0 = j + b * WRITER_LANES;
+            let mut acc = [zero; WRITER_LANES];
+            for (t, &uj) in prow.iter().enumerate() {
+                let lanes = &scaled[t * stride + i0..][..WRITER_LANES];
+                for c in 0..WRITER_LANES {
+                    acc[c] += lanes[c] * uj;
                 }
             }
-            rest = tail;
-            j += 1;
-        }
-    };
-    if gfp_parallel::should_parallelize(
-        n * n / 2 * p,
-        WRITER_PARALLEL_WORK,
-        WRITER_PARALLEL_WORK / 4,
-    ) {
-        // Eight column ranges of about equal entry counts.
-        let mut starts = Vec::new();
-        let mut chunks: Vec<&mut [f64]> = Vec::new();
-        let target = svec_len(n).div_ceil(8);
-        let (mut rest, mut j) = (v, 0);
-        while j < n {
-            let (mut len, j_start) = (0, j);
-            while j < n && len < target {
-                len += n - j;
-                j += 1;
+            for (c, slot) in out.iter_mut().enumerate() {
+                let diag = i0 + c == j;
+                let base = match (keep_base, diag) {
+                    (false, _) => 0.0,
+                    (true, true) => *slot,
+                    (true, false) => *slot / SQRT2,
+                };
+                let x = base + acc[c];
+                *slot = if diag { x } else { SQRT2 * x };
             }
-            let (chunk, tail) = rest.split_at_mut(len);
-            starts.push(j_start);
-            chunks.push(chunk);
-            rest = tail;
         }
-        gfp_parallel::parallel_for_each_chunk(chunks, |ci, chunk| write_columns(starts[ci], chunk));
-    } else {
-        write_columns(0, v);
+        rest = tail;
     }
 }
 
@@ -437,8 +403,8 @@ fn record_psd(timer: Option<std::time::Instant>, path: &'static str) {
 
 /// Projects a stacked slack vector onto the product of `cones`, block
 /// by block, in place. PSD blocks may parallelize internally (the
-/// bisection, reflector application and spectral reconstruction of the
-/// partial path), bitwise identically at every worker count.
+/// reflector application of the partial path), bitwise identically at
+/// every worker count.
 ///
 /// # Panics
 ///

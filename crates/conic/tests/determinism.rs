@@ -74,11 +74,10 @@ fn psd_projection_is_bitwise_deterministic_across_worker_counts() {
     let _large = large_cones();
     let _unclamp = UnclampGuard::new();
     let mut rng = Rng::seed_from_u64(0x5eed_1001);
-    // 20 uses the direct small-n path and 60 the dense `eigh` with the
-    // banded spectral kernel. 202, the cone of a flat n200 solve, takes
-    // the partial-spectrum path (from 64 up), where the bisection
-    // batches, the reflector application and `spectral_accumulate` all
-    // dispatch to the pool.
+    // 20 and 60 take the dense `eigh` (20 always sums the positive
+    // side). 202, the cone of a flat n200 solve, takes the
+    // partial-spectrum path (from 64 up), where the reflector
+    // application dispatches to the pool.
     for n in [20, 60, 202] {
         let m = random_sym(&mut rng, n);
         let v0 = svec(&m);

@@ -10,18 +10,19 @@
 //! vectorization used by the conic solver ([`svec::svec`] /
 //! [`svec::smat`]).
 //!
-//! Everything is `f64` and deterministic: the hot kernels
-//! ([`spectral_accumulate`], and the bisection and reflector
-//! application inside [`spectral_side`]) are parallelized
+//! Everything is `f64` and deterministic: two kernels
+//! ([`spectral_accumulate`], and the reflector application inside
+//! [`spectral_side`]) are parallelized
 //! over the std-only `gfp-parallel` pool, but every floating-point
 //! accumulation keeps a fixed association order, so results are
 //! bitwise identical for every `GFP_THREADS` setting. [`Mat::matmul`],
-//! the Householder reduction behind [`eigh`] and [`spectral_side`], the
-//! CSR products and [`SparseCholesky`] run serially: the solver runs no
-//! dense product (`matmul` serves tests and [`Eigh::reconstruct`]), one
-//! reduction step's O(m²) work is too small to pay for pool dispatch,
-//! an ADMM iteration makes one `A·x`, and a triangular sweep is a chain
-//! of dependent updates.
+//! the Householder reduction behind [`eigh`] and [`spectral_side`], its
+//! bisection, the CSR products and [`SparseCholesky`] run serially: the
+//! solver runs no dense product (`matmul` serves tests and
+//! [`Eigh::reconstruct`]), one reduction step's O(m²) work is too small
+//! to pay for pool dispatch, a pool dispatch of the bisection bought
+//! nothing measurable, an ADMM iteration makes one `A·x`, and a
+//! triangular sweep is a chain of dependent updates.
 //!
 //! # Example
 //!

@@ -19,11 +19,10 @@
 //! doubt returns `Ok(None)` and the caller runs the dense path.
 //!
 //! Everything here is deterministic: fixed-seed inverse-iteration
-//! starts, fixed bisection order, sequential Gram–Schmidt. The
-//! parallel pieces are the batched loose bisection and the reflector
-//! application, both of which follow the crate's bitwise determinism
-//! contract; the `tred2` reduction shared with [`crate::eigh`] runs
-//! serially.
+//! starts, fixed bisection order, sequential Gram–Schmidt. The one
+//! parallel piece is the reflector application, which follows the
+//! crate's bitwise determinism contract; the `tred2` reduction shared
+//! with [`crate::eigh`] and the batched loose bisection run serially.
 
 use std::ops::Range;
 
@@ -184,31 +183,17 @@ impl Tridiagonal {
         let mut last_shift = f64::NEG_INFINITY;
         // The loose bisections are independent per index, so they run
         // in lane-batched blocks (independent pivot recurrences
-        // pipeline where one division chain would stall) and fan out to
-        // the pool in disjoint chunks; each estimate is a pure function
-        // of (d, e, index), so the result is bitwise identical at any
-        // worker count and any batching. Inverse iteration below stays
-        // sequential (the Gram–Schmidt basis is order-dependent).
+        // pipeline where one division chain would stall); each estimate
+        // is a pure function of (d, e, index), so the result is bitwise
+        // identical at any batching. Serially: on `flat_n200` a pool
+        // dispatch of the blocks bought nothing measurable (DESIGN §9).
+        // Inverse iteration below stays sequential (the Gram–Schmidt
+        // basis is order-dependent).
         let t0 = targets.start;
         let e2: Vec<f64> = e.iter().map(|&x| x * x).collect();
         let mut loose = vec![0.0f64; count];
-        // ~40·n flops of Sturm work per eigenvalue estimate.
-        if gfp_parallel::should_parallelize(count * n * 40, 64 * 64 * 16, 32 * 32 * 16) {
-            let mut chunks: Vec<&mut [f64]> = Vec::new();
-            let mut rest = loose.as_mut_slice();
-            while rest.len() > BISECT_LANES {
-                let (head, tail) = rest.split_at_mut(BISECT_LANES);
-                chunks.push(head);
-                rest = tail;
-            }
-            chunks.push(rest);
-            gfp_parallel::parallel_for_each_chunk(chunks, |ci, chunk| {
-                bisect_block(d, &e2, t0 + ci * BISECT_LANES, blo, bhi, bis_tol, chunk);
-            });
-        } else {
-            for (ci, chunk) in loose.chunks_mut(BISECT_LANES).enumerate() {
-                bisect_block(d, &e2, t0 + ci * BISECT_LANES, blo, bhi, bis_tol, chunk);
-            }
+        for (ci, chunk) in loose.chunks_mut(BISECT_LANES).enumerate() {
+            bisect_block(d, &e2, t0 + ci * BISECT_LANES, blo, bhi, bis_tol, chunk);
         }
         for (idx, j) in targets.enumerate() {
             let lam0 = loose[idx];
@@ -1131,8 +1116,7 @@ mod tests {
     #[test]
     fn bitwise_deterministic_across_worker_counts() {
         // A symmetric spectrum puts about n/2 eigenvectors through the
-        // bisection and the reflector application, so both cross their
-        // pool cutovers.
+        // reflector application, so it crosses its pool cutover.
         let m = random_sym(23, 160);
         let mut runs: Vec<[Vec<f64>; 2]> = Vec::new();
         let prev = gfp_parallel::set_host_clamp(false);

@@ -1,7 +1,7 @@
 use std::ops::Range;
 
 use gfp_linalg::svec::{smat, svec_len, SQRT2};
-use gfp_linalg::{eigh, spectral_side, vec_ops, Mat, SideKind};
+use gfp_linalg::{eigh_owned, spectral_side_owned, vec_ops, Mat, SideKind};
 use gfp_telemetry as telemetry;
 
 /// One factor of the Cartesian product cone `K`.
@@ -183,9 +183,10 @@ fn project_psd(v: &mut [f64], n: usize) {
     // bisection + inverse iteration — skipping the O(n³) accumulation
     // of `Q` and the full QL sweep that dominate a dense `eigh`. The
     // Sturm counts certify the side is complete; any doubt (an
-    // uncertified residual) falls through to the exact path.
-    if n >= PSD_PARTIAL_MIN_N {
-        if try_partial_psd(&m, v) {
+    // uncertified residual) falls through to the exact path. Both
+    // routes take the exactly symmetric `m` by value.
+    let m = if n >= PSD_PARTIAL_MIN_N {
+        if try_partial_psd(m, v) {
             static PARTIAL_HIT: telemetry::CounterHandle =
                 telemetry::CounterHandle::new("kernel.eigh_partial.hit");
             PARTIAL_HIT.add(1);
@@ -195,8 +196,12 @@ fn project_psd(v: &mut [f64], n: usize) {
         static PARTIAL_FALLBACK: telemetry::CounterHandle =
             telemetry::CounterHandle::new("kernel.eigh_partial.fallback");
         PARTIAL_FALLBACK.add(1);
-    }
-    let e = match eigh(&m) {
+        // The partial route consumed the matrix and left `v` as it was.
+        smat(v)
+    } else {
+        m
+    };
+    let e = match eigh_owned(m) {
         Ok(e) => e,
         Err(_) => {
             // Poison the block instead of panicking: the solver's
@@ -338,8 +343,9 @@ pub(crate) const PSD_PARTIAL_MIN_N: usize = 64;
 /// every call.
 const PSD_PARTIAL_TOL: f64 = 1e-9;
 
-/// Attempts to project the PSD block via one side of the spectrum:
-/// `spectral_side` picks whichever side of the cut has fewer
+/// Attempts to project the PSD block `m` (`smat(v)`, consumed) via one
+/// side of the spectrum: `spectral_side_owned` picks whichever side of
+/// the cut has fewer
 /// eigenvalues (Sturm counts make the choice exact) and certifies
 /// every returned pair. Reconstruction uses the side it got:
 ///   P = Σ_{λ>cut} λ v vᵀ             (positive side), or
@@ -350,8 +356,8 @@ const PSD_PARTIAL_TOL: f64 = 1e-9;
 /// The decision is a pure function of the block data (never of global
 /// adaptive state), so the projection's bits do not depend on the
 /// worker count or on which projections ran before it.
-fn try_partial_psd(m: &Mat, v: &mut [f64]) -> bool {
-    let side = match spectral_side(m, PSD_PARTIAL_TOL) {
+fn try_partial_psd(m: Mat, v: &mut [f64]) -> bool {
+    let side = match spectral_side_owned(m, PSD_PARTIAL_TOL) {
         Ok(Some(side)) => side,
         _ => return false,
     };

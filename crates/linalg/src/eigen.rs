@@ -59,12 +59,39 @@ impl Eigh {
 /// ```
 pub fn eigh(a: &Mat) -> Result<Eigh, LinalgError> {
     let timer = crate::kernel_timer();
-    let Some(mut z) = ql_input(a)? else {
+    match ql_input(a)? {
+        Some(z) => eigh_in_place(z, timer),
+        None => Ok(Eigh {
+            values: Vec::new(),
+            vectors: Mat::zeros(0, 0),
+        }),
+    }
+}
+
+/// [`eigh`] of an exactly symmetric matrix taken by value: the
+/// decomposition works in `a` itself, with no working copy and no
+/// symmetrization pass, behind the same `Site::Eigh` fault hook and
+/// NaN/Inf guard. On an exactly symmetric matrix (as
+/// [`crate::svec::smat`] builds one) the result is bitwise
+/// `eigh(&a)`'s; other input is a caller bug (debug builds assert).
+///
+/// # Errors
+///
+/// Same conditions as [`eigh`].
+pub fn eigh_owned(a: Mat) -> Result<Eigh, LinalgError> {
+    let timer = crate::kernel_timer();
+    if square_dim(&a)? == 0 {
         return Ok(Eigh {
             values: Vec::new(),
             vectors: Mat::zeros(0, 0),
         });
-    };
+    }
+    eigh_in_place(checked(a, "tqli", "eigh input")?, timer)
+}
+
+/// The decomposition behind [`eigh`] and [`eigh_owned`], in place in
+/// the checked, exactly symmetric, non-empty `z`.
+fn eigh_in_place(mut z: Mat, timer: Option<std::time::Instant>) -> Result<Eigh, LinalgError> {
     let n = z.nrows();
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
@@ -105,14 +132,7 @@ pub(crate) fn square_dim(a: &Mat) -> Result<usize, LinalgError> {
 }
 
 /// A symmetrized working copy of `a` (callers may pass
-/// nearly-symmetric input), behind the `Site::Eigh` fault hook and the
-/// NaN/Inf guard. An injected stall or exhausted budget surfaces as
-/// `NoConvergence { method }`; injected NaN/Inf, like non-finite input,
-/// as `NonFinite { what }`. An injected `PerturbResidual` is ignored:
-/// the QL iteration has no residual to perturb, and [`spectral_side`]
-/// treats this site exactly as `eigh` does.
-///
-/// [`spectral_side`]: crate::spectral_side
+/// nearly-symmetric input), [`checked`].
 pub(crate) fn symmetric_copy(
     a: &Mat,
     method: &'static str,
@@ -120,6 +140,22 @@ pub(crate) fn symmetric_copy(
 ) -> Result<Mat, LinalgError> {
     let mut z = a.clone();
     z.symmetrize_mut();
+    checked(z, method, what)
+}
+
+/// The working matrix `z` behind the `Site::Eigh` fault hook and the
+/// NaN/Inf guard. An injected stall or exhausted budget surfaces as
+/// `NoConvergence { method }`; injected NaN/Inf, like non-finite input,
+/// as `NonFinite { what }`. An injected `PerturbResidual` is ignored:
+/// the QL iteration has no residual to perturb, and [`spectral_side`]
+/// treats this site exactly as `eigh` does.
+///
+/// [`spectral_side`]: crate::spectral_side
+pub(crate) fn checked(
+    mut z: Mat,
+    method: &'static str,
+    what: &'static str,
+) -> Result<Mat, LinalgError> {
     // Fault-injection hook (no-op unless the `fault-inject` feature is
     // on): corrupts the working copy or simulates a stall, always
     // upstream of the guard below so it is what gets exercised.
@@ -762,6 +798,38 @@ mod tests {
                     );
                 }
                 _ => panic!("{what}: only one input resolved"),
+            }
+        }
+    }
+
+    /// The by-value entry points decompose an exactly symmetric matrix
+    /// bitwise as the borrowing ones do, on both routes of the PSD
+    /// projection (the partial solver refuses below order 8).
+    #[test]
+    fn owned_input_decomposes_as_the_borrowed_one() {
+        for n in [0usize, 1, 7, 12, 33, 70] {
+            let a = random_sym(900 + n as u64, n);
+            let what = format!("n={n}");
+            let (eo, eb) = (eigh_owned(a.clone()).unwrap(), eigh(&a).unwrap());
+            assert_bits(&eo.values, &eb.values, &format!("{what} eigh values"));
+            assert_bits(
+                eo.vectors.as_slice(),
+                eb.vectors.as_slice(),
+                &format!("{what} eigh vectors"),
+            );
+            let owned = crate::spectral_side_owned(a.clone(), 1e-9).unwrap();
+            match (owned, crate::spectral_side(&a, 1e-9).unwrap()) {
+                (None, None) => assert!(n < 8, "{what}: spectral_side refused"),
+                (Some(po), Some(pb)) => {
+                    assert_eq!(po.kind, pb.kind, "{what} side");
+                    assert_bits(&po.values, &pb.values, &format!("{what} side values"));
+                    assert_bits(
+                        po.vectors.as_slice(),
+                        pb.vectors.as_slice(),
+                        &format!("{what} side vectors"),
+                    );
+                }
+                _ => panic!("{what}: only one entry point resolved"),
             }
         }
     }

@@ -51,12 +51,12 @@ pub mod svec;
 pub mod vec_ops;
 
 pub use chol::{Cholesky, Ldlt};
-pub use eigen::{eigh, eigvalsh, spectral_accumulate, Eigh};
+pub use eigen::{eigh, eigh_owned, eigvalsh, spectral_accumulate, Eigh};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use mat::Mat;
 pub use sparse_chol::SparseCholesky;
-pub use tridiag::{spectral_side, SideKind, SpectralSide};
+pub use tridiag::{spectral_side, spectral_side_owned, SideKind, SpectralSide};
 
 /// Starts a wall-clock sample for a kernel-level telemetry counter,
 /// but only when telemetry is enabled (zero cost otherwise).

@@ -26,7 +26,7 @@
 
 use std::ops::Range;
 
-use crate::eigen::{square_dim, symmetric_copy, tred2_reduce};
+use crate::eigen::{checked, square_dim, symmetric_copy, tred2_reduce};
 use crate::{LinalgError, Mat};
 use gfp_rand::Rng;
 
@@ -108,16 +108,11 @@ struct Tridiagonal {
 }
 
 impl Tridiagonal {
-    /// [`spectral_side`]'s prelude: a symmetrized copy of `a` behind
-    /// `eigh`'s fault hook and the NaN/Inf guard, reduced by
-    /// `tred2_reduce`, with the Gershgorin bound.
-    fn reduce(a: &Mat) -> Result<Self, LinalgError> {
-        let timer = crate::kernel_timer();
-        // Same fault surface as `eigh`: this routine replaces it on the
-        // projection hot path, so injected eigendecomposition faults
-        // must reach it too (a stall here falls back to the dense
-        // route).
-        let mut q = symmetric_copy(a, "spectral_side", "spectral_side input")?;
+    /// [`spectral_side`]'s prelude: the checked working matrix `q`
+    /// (exactly symmetric) reduced by `tred2_reduce`, with the
+    /// Gershgorin bound. `timer` was started before the working matrix
+    /// was made.
+    fn reduce(mut q: Mat, timer: Option<std::time::Instant>) -> Self {
         let n = q.nrows();
         let mut hh = vec![0.0; n];
         let mut e = vec![0.0; n];
@@ -129,14 +124,14 @@ impl Tridiagonal {
             let hi = if i + 1 < n { e[i + 1].abs() } else { 0.0 };
             scale = scale.max(d[i].abs() + lo + hi);
         }
-        Ok(Tridiagonal {
+        Tridiagonal {
             q,
             hh,
             d,
             e,
             scale,
             timer,
-        })
+        }
     }
 
     /// Closes the call's `kernel.spectral_side` wall-time sample.
@@ -265,22 +260,51 @@ impl Tridiagonal {
 /// [`LinalgError::NonFinite`] for NaN/Inf input; an injected
 /// `Site::Eigh` stall surfaces as [`LinalgError::NoConvergence`].
 pub fn spectral_side(a: &Mat, rel_cut: f64) -> Result<Option<SpectralSide>, LinalgError> {
-    let n = square_dim(a)?;
-    if n < MIN_N {
+    if square_dim(a)? < MIN_N {
         return Ok(None);
     }
-    let t = Tridiagonal::reduce(a)?;
+    let timer = crate::kernel_timer();
+    // Same fault surface as `eigh`: this routine replaces it on the
+    // projection hot path, so injected eigendecomposition faults must
+    // reach it too (a stall here falls back to the dense route).
+    let q = symmetric_copy(a, "spectral_side", "spectral_side input")?;
+    Ok(side_of(Tridiagonal::reduce(q, timer), rel_cut))
+}
+
+/// [`spectral_side`] of an exactly symmetric matrix taken by value:
+/// the reduction works in `a` itself, with no working copy and no
+/// symmetrization pass, behind the same fault hook and NaN/Inf guard.
+/// On an exactly symmetric matrix (as [`crate::svec::smat`] builds
+/// one) the result is bitwise `spectral_side(&a, rel_cut)`'s; other
+/// input is a caller bug (debug builds assert).
+///
+/// # Errors
+///
+/// Same conditions as [`spectral_side`].
+pub fn spectral_side_owned(a: Mat, rel_cut: f64) -> Result<Option<SpectralSide>, LinalgError> {
+    if square_dim(&a)? < MIN_N {
+        return Ok(None);
+    }
+    let timer = crate::kernel_timer();
+    let q = checked(a, "spectral_side", "spectral_side input")?;
+    Ok(side_of(Tridiagonal::reduce(q, timer), rel_cut))
+}
+
+/// The side search behind [`spectral_side`] and
+/// [`spectral_side_owned`] on the reduced matrix `t`.
+fn side_of(t: Tridiagonal, rel_cut: f64) -> Option<SpectralSide> {
+    let n = t.d.len();
     let scale = t.scale;
     if scale == 0.0 {
         // Zero matrix: nothing beyond any cut on either side.
         t.record();
-        return Ok(Some(SpectralSide {
+        return Some(SpectralSide {
             kind: SideKind::Negative,
             values: Vec::new(),
             vectors: Mat::zeros(n, 0),
             scale,
             other_count: 0,
-        }));
+        });
     }
     let cut = rel_cut * scale;
 
@@ -300,13 +324,13 @@ pub fn spectral_side(a: &Mat, rel_cut: f64) -> Result<Option<SpectralSide>, Lina
     };
     let got = t.certify_range(targets, blo, bhi, cut);
     t.record();
-    Ok(got.map(|(values, vectors)| SpectralSide {
+    got.map(|(values, vectors)| SpectralSide {
         kind,
         values,
         vectors,
         scale,
         other_count,
-    }))
+    })
 }
 
 /// Number of eigenvalues of the tridiagonal `(d, e)` strictly below

@@ -12,8 +12,8 @@
 //! dominates an iteration, the loop runs safeguarded type-II Anderson
 //! acceleration on the projection input `v = s − y/ρ` (`anderson.rs`):
 //! each iteration still makes one projection, but of an extrapolated
-//! point, which cuts the iteration count by about 40% on the n200
-//! flat solve. Its history lives inside one solve (never in
+//! point, which cuts the iteration count by more than half on the n200
+//! flat solve (memory 10). Its history lives inside one solve (never in
 //! [`AdmmReuse`] or a checkpoint), every checked, returned or carried
 //! iterate is a plain ADMM step, and below the gate the loop is the
 //! plain splitting bit for bit.

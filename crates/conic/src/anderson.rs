@@ -20,7 +20,7 @@
 //!   solve and never stored beyond it. The Gram matrix `ΔFᵀΔF` gains
 //!   one column per step and the right-hand side `ΔFᵀf` is updated
 //!   from that column, so a step is two fused passes over the rows
-//!   and a ≤5×5 Cholesky solve.
+//!   and a ≤10×10 Cholesky solve.
 //! * **Safeguard**: an extrapolated point whose residual exceeds the
 //!   residual of the plain step it was built from is discarded: the
 //!   stored plain output `g(v_k)` is projected instead, the memory is
@@ -32,7 +32,7 @@
 use gfp_telemetry as telemetry;
 
 /// Difference columns kept.
-const MEMORY: usize = 5;
+const MEMORY: usize = 10;
 
 /// Tikhonov regularization `λ` of the normal equations, relative to
 /// the trace of the Gram matrix: about the relative rounding of the

@@ -766,8 +766,8 @@ fn set_meta(shared: &Arc<Shared>, id: u64, meta: &JobMeta) {
 }
 
 /// Persists the verdict, promotes trustworthy results into the cache,
-/// garbage-collects the checkpoint ring, and enforces the done-dir
-/// retention cap.
+/// garbage-collects the checkpoint ring, enforces the done-dir
+/// retention cap, and only then publishes `Done`.
 fn finish_job(
     shared: &Arc<Shared>,
     id: u64,
@@ -789,36 +789,36 @@ fn finish_job(
     // The job is finished: its checkpoint ring is dead weight.
     let _ = SnapshotStore::purge_dir(ckpt);
 
-    {
-        let mut jobs = shared.jobs.lock().expect("jobs lock");
-        if let Some(state) = jobs.get_mut(&id) {
-            state.meta = meta;
-            state.result = Some(result);
-        }
+    // Sweep, then publish, under one lock: a client whose wait for
+    // `Done` has returned never finds more than `keep_done` done-job
+    // directories, and two finishing workers cannot both miss each
+    // other's job.
+    let mut jobs = shared.jobs.lock().expect("jobs lock");
+    gc_done_dirs(&shared.cfg, &jobs, id);
+    if let Some(state) = jobs.get_mut(&id) {
+        state.meta = meta;
+        state.result = Some(result);
     }
-
-    gc_done_dirs(shared);
 }
 
-/// Keeps at most `keep_done` done-job directories on disk, removing
-/// the oldest (results stay served from memory; only the durable
-/// copies go).
-fn gc_done_dirs(shared: &Arc<Shared>) {
-    let keep = shared.cfg.keep_done.max(1);
-    let mut done: Vec<u64> = {
-        let jobs = shared.jobs.lock().expect("jobs lock");
-        jobs.values()
-            .filter(|s| s.meta.phase == JobPhase::Done)
-            .map(|s| s.meta.id)
-            .collect()
-    };
+/// Keeps at most `keep_done` done-job directories on disk, counting
+/// the finishing job `finishing` as done and removing the oldest
+/// (results stay served from memory; only the durable copies go).
+fn gc_done_dirs(cfg: &DaemonConfig, jobs: &HashMap<u64, JobState>, finishing: u64) {
+    let keep = cfg.keep_done.max(1);
+    let mut done: Vec<u64> = jobs
+        .values()
+        .filter(|s| s.meta.phase == JobPhase::Done && s.meta.id != finishing)
+        .map(|s| s.meta.id)
+        .chain([finishing])
+        .collect();
     if done.len() <= keep {
         return;
     }
     done.sort_unstable();
     let excess = done.len() - keep;
     for &id in &done[..excess] {
-        let dir = job::job_dir(&shared.cfg.root, id);
+        let dir = job::job_dir(&cfg.root, id);
         if fs::remove_dir_all(&dir).is_ok() {
             telemetry::counter_add("service.gc_done_dir", 1);
         }

@@ -119,7 +119,9 @@ fn degraded_results_are_not_cached() {
 
 /// Satellite guarantee: snapshots of dead jobs are actually removed
 /// from disk — per-job rings are purged at completion, and done-job
-/// directories beyond the retention cap are swept entirely.
+/// directories beyond the retention cap are swept entirely, before the
+/// job is reported done: once a client's wait returns, no more than
+/// `keep_done` directories of the jobs it has seen finish are left.
 #[test]
 fn dead_job_snapshots_and_excess_done_dirs_are_removed() {
     let root = temp_root("gc");
@@ -146,8 +148,21 @@ fn dead_job_snapshots_and_excess_done_dirs_are_removed() {
         assert!(!cache_hit);
         jobs.push(job);
     }
-    for &job in &jobs {
+    // One worker runs the jobs in order, so after each wait every job
+    // up to this one is done; later ones may still be queued.
+    for (k, &job) in jobs.iter().enumerate() {
         client.wait_done(job, WAIT).unwrap();
+        let finished: Vec<PathBuf> = jobs[..=k]
+            .iter()
+            .map(|&id| gfp_service::job::job_dir(&root, id))
+            .filter(|p| p.is_dir())
+            .collect();
+        // Retention cap: at most keep_done done-job directories survive.
+        assert!(
+            finished.len() <= 2,
+            "after job {job}: expected ≤ 2 retained done-job dirs, found {}: {finished:?}",
+            finished.len()
+        );
     }
 
     let jobs_root = root.join("jobs");
@@ -157,8 +172,6 @@ fn dead_job_snapshots_and_excess_done_dirs_are_removed() {
         .map(|e| e.path())
         .filter(|p| p.is_dir())
         .collect();
-
-    // Retention cap: at most keep_done done-job directories survive.
     assert!(
         dirs.len() <= 2,
         "expected ≤ 2 retained job dirs, found {}: {dirs:?}",

@@ -25,11 +25,13 @@ cargo test -q -- --ignored
 cargo test --release -q -p gfp-core --test scaling_sparsify -- --ignored
 
 echo "== linalg tests (release) =="
-# gfp-linalg's bit pins against the optimized, vectorized build the
-# benchmark runs (every other stage builds them in debug): both builds
-# of the Householder reduction against the column-walk reference,
-# spectral_side_bits, eigvalsh vs eigh, and the 1/2/8-worker tests.
-cargo test --release -q -p gfp-linalg
+# gfp-linalg's and gfp-conic's bit pins against the optimized,
+# vectorized build the benchmark runs (every other stage builds them in
+# debug): both builds of the Householder reduction and of the reflector
+# application against their references, spectral_side_bits, the PSD
+# projection pins, eigvalsh vs eigh, the Anderson iteration pins, and
+# the 1/2/8-worker tests.
+cargo test --release -q -p gfp-linalg -p gfp-conic
 
 echo "== fault-injection tests =="
 # Deterministic fault-matrix + supervisor recovery tests; the hooks

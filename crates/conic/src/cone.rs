@@ -245,7 +245,9 @@ fn project_psd(v: &mut [f64], n: usize) {
         record_psd(timer, "all_nonneg");
         return;
     }
-    // Blocks below order 32 always sum the positive side.
+    // Blocks below order 32 always sum the positive side: the two sums
+    // round differently, and the small blocks' pinned bits
+    // (`tests/projection_bits.rs`) are the positive side's.
     if n < 32 || npos <= nneg {
         write_projection(v, &e.vectors, &e.values, n - npos..n, false);
     } else {

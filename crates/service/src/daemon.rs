@@ -37,7 +37,7 @@
 //! worker deaths before an attempt starts. All are exercised by the
 //! fault-matrix test; in release builds the hooks compile out.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -110,6 +110,9 @@ struct Shared {
     queue: JobQueue,
     cache: ResultCache,
     jobs: Mutex<HashMap<u64, JobState>>,
+    /// Done jobs whose directories are still on disk, the ones the
+    /// `keep_done` cap counts.
+    done_dirs: Mutex<BTreeSet<u64>>,
     next_id: AtomicU64,
     stop: AtomicBool,
     completed: AtomicU64,
@@ -156,6 +159,7 @@ impl Daemon {
             queue: JobQueue::new(cfg.queue_cap, workers, cfg.retry_base_ms),
             cache: ResultCache::new(),
             jobs: Mutex::new(HashMap::new()),
+            done_dirs: Mutex::new(BTreeSet::new()),
             next_id: AtomicU64::new(1),
             stop: AtomicBool::new(false),
             completed: AtomicU64::new(0),
@@ -262,6 +266,11 @@ fn resume_scan(shared: &Arc<Shared>) {
                 if let Some(result) = &result {
                     shared.cache.insert(meta.hash, result);
                 }
+                shared
+                    .done_dirs
+                    .lock()
+                    .expect("done-dirs lock")
+                    .insert(meta.id);
                 shared
                     .jobs
                     .lock()
@@ -482,6 +491,7 @@ fn handle_submit(shared: &Arc<Shared>, submit: SubmitRequest) -> Response {
         if persisted.is_err() {
             let _ = fs::remove_dir_all(&dir);
         }
+        gc_done_dirs(shared, id);
         shared
             .jobs
             .lock()
@@ -789,37 +799,29 @@ fn finish_job(
     // The job is finished: its checkpoint ring is dead weight.
     let _ = SnapshotStore::purge_dir(ckpt);
 
-    // Sweep, then publish, under one lock: a client whose wait for
-    // `Done` has returned never finds more than `keep_done` done-job
-    // directories, and two finishing workers cannot both miss each
-    // other's job.
+    // Sweep, then publish: a client whose wait for `Done` has returned
+    // never finds more than `keep_done` done-job directories.
+    gc_done_dirs(shared, id);
     let mut jobs = shared.jobs.lock().expect("jobs lock");
-    gc_done_dirs(&shared.cfg, &jobs, id);
     if let Some(state) = jobs.get_mut(&id) {
         state.meta = meta;
         state.result = Some(result);
     }
 }
 
-/// Keeps at most `keep_done` done-job directories on disk, counting
-/// the finishing job `finishing` as done and removing the oldest
-/// (results stay served from memory; only the durable copies go).
-fn gc_done_dirs(cfg: &DaemonConfig, jobs: &HashMap<u64, JobState>, finishing: u64) {
-    let keep = cfg.keep_done.max(1);
-    let mut done: Vec<u64> = jobs
-        .values()
-        .filter(|s| s.meta.phase == JobPhase::Done && s.meta.id != finishing)
-        .map(|s| s.meta.id)
-        .chain([finishing])
-        .collect();
-    if done.len() <= keep {
-        return;
-    }
-    done.sort_unstable();
-    let excess = done.len() - keep;
-    for &id in &done[..excess] {
-        let dir = job::job_dir(&cfg.root, id);
-        if fs::remove_dir_all(&dir).is_ok() {
+/// Counts the directory of `finished`, a job turning `Done`, and keeps
+/// at most `keep_done` done-job directories on disk, removing the
+/// oldest (results stay served from memory; only the durable copies
+/// go). Removed directories leave the count, so once the cap is
+/// reached a call removes one directory, however long the daemon has
+/// run. Two jobs finishing at once count each other under the lock.
+fn gc_done_dirs(shared: &Shared, finished: u64) {
+    let keep = shared.cfg.keep_done.max(1);
+    let mut on_disk = shared.done_dirs.lock().expect("done-dirs lock");
+    on_disk.insert(finished);
+    while on_disk.len() > keep {
+        let oldest = on_disk.pop_first().expect("more than keep_done ≥ 1 ids");
+        if fs::remove_dir_all(job::job_dir(&shared.cfg.root, oldest)).is_ok() {
             telemetry::counter_add("service.gc_done_dir", 1);
         }
     }

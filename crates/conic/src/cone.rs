@@ -1,7 +1,7 @@
 use std::ops::Range;
 
 use gfp_linalg::svec::{smat, svec_len, SQRT2};
-use gfp_linalg::{eigh_owned, spectral_side_owned, vec_ops, Mat, SideKind};
+use gfp_linalg::{eigh, spectral_side, vec_ops, Mat, SideKind};
 use gfp_telemetry as telemetry;
 
 /// One factor of the Cartesian product cone `K`.
@@ -183,8 +183,9 @@ fn project_psd(v: &mut [f64], n: usize) {
     // bisection + inverse iteration — skipping the O(n³) accumulation
     // of `Q` and the full QL sweep that dominate a dense `eigh`. The
     // Sturm counts certify the side is complete; any doubt (an
-    // uncertified residual) falls through to the exact path. Both
-    // routes take the exactly symmetric `m` by value.
+    // uncertified residual) falls through to the exact path, which
+    // decomposes a copy of `m`; the partial route takes the exactly
+    // symmetric `m` itself.
     let m = if n >= PSD_PARTIAL_MIN_N {
         if try_partial_psd(m, v) {
             static PARTIAL_HIT: telemetry::CounterHandle =
@@ -201,7 +202,7 @@ fn project_psd(v: &mut [f64], n: usize) {
     } else {
         m
     };
-    let e = match eigh_owned(m) {
+    let e = match eigh(&m) {
         Ok(e) => e,
         Err(_) => {
             // Poison the block instead of panicking: the solver's
@@ -346,9 +347,9 @@ pub(crate) const PSD_PARTIAL_MIN_N: usize = 64;
 const PSD_PARTIAL_TOL: f64 = 1e-9;
 
 /// Attempts to project the PSD block `m` (`smat(v)`, consumed) via one
-/// side of the spectrum: `spectral_side_owned` picks whichever side of
-/// the cut has fewer
-/// eigenvalues (Sturm counts make the choice exact) and certifies
+/// side of the spectrum: `spectral_side` picks whichever side of the
+/// cut has fewer eigenvalues (Sturm counts make the choice exact) and
+/// certifies
 /// every returned pair. Reconstruction uses the side it got:
 ///   P = Σ_{λ>cut} λ v vᵀ             (positive side), or
 ///   P = M + Σ_{λ<−cut} (−λ) v vᵀ     (negative side).
@@ -359,7 +360,7 @@ const PSD_PARTIAL_TOL: f64 = 1e-9;
 /// adaptive state), so the projection's bits do not depend on the
 /// worker count or on which projections ran before it.
 fn try_partial_psd(m: Mat, v: &mut [f64]) -> bool {
-    let side = match spectral_side_owned(m, PSD_PARTIAL_TOL) {
+    let side = match spectral_side(m, PSD_PARTIAL_TOL) {
         Ok(Some(side)) => side,
         _ => return false,
     };

@@ -3,9 +3,9 @@
 //! Each case hashes, with FNV-1a over `to_bits`, the `svec` block that
 //! `Cone::Psd(n).project` writes for a seeded symmetric matrix. At
 //! n = 12 and 33 the projection takes the dense route (a full `eigh`,
-//! then the small-block loop at 12 and `spectral_accumulate` at 33);
-//! at n = 64, 102 and 202 it takes the partial route (`spectral_side`,
-//! then the reconstruction from the side it resolved). Each matrix is
+//! then the reconstruction from one side of its spectrum); at n = 64,
+//! 102 and 202 it takes the partial route (`spectral_side`, then the
+//! reconstruction from the side it resolved). Each matrix is
 //! taken as drawn and shifted by `±0.6` of its semicircle radius, so
 //! both the positive-side sum and the `M + Σ (−λ) v vᵀ` sum are
 //! reconstructed on each route.
@@ -85,7 +85,7 @@ fn cases() -> Vec<(String, u64)> {
             if n >= 64 {
                 // The pin is only worth its name if the partial route
                 // resolves the block.
-                let side = spectral_side(&smat(&v), 1e-9).expect("finite square input");
+                let side = spectral_side(smat(&v), 1e-9).expect("finite square input");
                 assert!(side.is_some(), "{case}: the partial route refused");
             }
             Cone::Psd(n).project(&mut v);

@@ -138,11 +138,10 @@ pub fn solve_subproblem2(z_mat: &Mat, n: usize) -> Result<(Mat, f64), FloorplanE
     assert_eq!(z_mat.nrows(), n + 2, "Z must be (n+2)x(n+2)");
     let e = eigh(z_mat)?;
     // Eigenvalues ascend: the first n are the smallest. W = U Uᵀ is a
-    // unit-weight spectral sum over those columns; the shared banded
-    // kernel parallelizes it on the gfp-parallel pool.
+    // unit-weight spectral sum over those columns.
     let gap: f64 = e.values[..n].iter().sum();
     let ones = vec![1.0; e.values.len()];
-    let w = gfp_linalg::spectral_accumulate(&e.vectors, &ones, 0..n, None);
+    let w = gfp_linalg::spectral_accumulate(&e.vectors, &ones, 0..n);
     Ok((w, gap))
 }
 

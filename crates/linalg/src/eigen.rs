@@ -59,39 +59,12 @@ impl Eigh {
 /// ```
 pub fn eigh(a: &Mat) -> Result<Eigh, LinalgError> {
     let timer = crate::kernel_timer();
-    match ql_input(a)? {
-        Some(z) => eigh_in_place(z, timer),
-        None => Ok(Eigh {
-            values: Vec::new(),
-            vectors: Mat::zeros(0, 0),
-        }),
-    }
-}
-
-/// [`eigh`] of an exactly symmetric matrix taken by value: the
-/// decomposition works in `a` itself, with no working copy and no
-/// symmetrization pass, behind the same `Site::Eigh` fault hook and
-/// NaN/Inf guard. On an exactly symmetric matrix (as
-/// [`crate::svec::smat`] builds one) the result is bitwise
-/// `eigh(&a)`'s; other input is a caller bug (debug builds assert).
-///
-/// # Errors
-///
-/// Same conditions as [`eigh`].
-pub fn eigh_owned(a: Mat) -> Result<Eigh, LinalgError> {
-    let timer = crate::kernel_timer();
-    if square_dim(&a)? == 0 {
+    let Some(mut z) = ql_input(a)? else {
         return Ok(Eigh {
             values: Vec::new(),
             vectors: Mat::zeros(0, 0),
         });
-    }
-    eigh_in_place(checked(a, "tqli", "eigh input")?, timer)
-}
-
-/// The decomposition behind [`eigh`] and [`eigh_owned`], in place in
-/// the checked, exactly symmetric, non-empty `z`.
-fn eigh_in_place(mut z: Mat, timer: Option<std::time::Instant>) -> Result<Eigh, LinalgError> {
+    };
     let n = z.nrows();
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
@@ -110,13 +83,16 @@ fn eigh_in_place(mut z: Mat, timer: Option<std::time::Instant>) -> Result<Eigh, 
     })
 }
 
-/// The working copy [`eigh`] and [`eigvalsh`] decompose (`None` for a
-/// 0×0 input).
+/// The working copy [`eigh`] and [`eigvalsh`] decompose: a
+/// symmetrized copy of `a` (callers may pass nearly-symmetric input),
+/// [`checked`] (`None` for a 0×0 input).
 fn ql_input(a: &Mat) -> Result<Option<Mat>, LinalgError> {
     if square_dim(a)? == 0 {
         return Ok(None);
     }
-    symmetric_copy(a, "tqli", "eigh input").map(Some)
+    let mut z = a.clone();
+    z.symmetrize_mut();
+    checked(z, "tqli", "eigh input").map(Some)
 }
 
 /// The dimension of square `a`; [`LinalgError::NotSquare`] otherwise.
@@ -129,18 +105,6 @@ pub(crate) fn square_dim(a: &Mat) -> Result<usize, LinalgError> {
             cols: a.ncols(),
         })
     }
-}
-
-/// A symmetrized working copy of `a` (callers may pass
-/// nearly-symmetric input), [`checked`].
-pub(crate) fn symmetric_copy(
-    a: &Mat,
-    method: &'static str,
-    what: &'static str,
-) -> Result<Mat, LinalgError> {
-    let mut z = a.clone();
-    z.symmetrize_mut();
-    checked(z, method, what)
 }
 
 /// The working matrix `z` behind the `Site::Eigh` fault hook and the
@@ -178,10 +142,6 @@ pub(crate) fn checked(
     }
     Ok(z)
 }
-
-/// Flop floor (`n²·p/2` weighted dot products) below which
-/// [`spectral_accumulate`] stays serial.
-const SPECTRAL_PARALLEL_WORK: usize = 64 * 64 * 16;
 
 /// Computes only the eigenvalues of a symmetric matrix (ascending).
 ///
@@ -530,48 +490,28 @@ fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<(), LinalgError> {
     Ok(())
 }
 
-/// Computes `base + Σ_{k ∈ cols} weights[k] · v_k v_kᵀ`, where `v_k`
-/// is column `k` of `vectors` — the direction matrix `W = U Uᵀ` of
+/// Computes `Σ_{k ∈ cols} weights[k] · v_k v_kᵀ`, where `v_k` is
+/// column `k` of `vectors` — the direction matrix `W = U Uᵀ` of
 /// Eq. 19. (The PSD-cone projection writes the same sums straight into
 /// its `svec` block.)
 ///
-/// The n² entry sums run as independent row bands on the pool, each
-/// accumulating over `k` in ascending order, so the result is bitwise
-/// identical for every worker count. Only the lower triangle is
-/// computed; the upper is mirrored.
+/// Each lower-triangle entry is one dot product accumulated over `k`
+/// ascending; the upper triangle is mirrored. It runs serially: its one
+/// production call, sub-problem 2's `W` once per convex iteration, sits
+/// next to hundreds of PSD projections of the same order.
 ///
 /// # Panics
 ///
-/// Panics if `cols` exceeds the column count, `weights` is shorter
-/// than `cols.end`, or `base` has the wrong shape.
-pub fn spectral_accumulate(
-    vectors: &Mat,
-    weights: &[f64],
-    cols: std::ops::Range<usize>,
-    base: Option<&Mat>,
-) -> Mat {
+/// Panics if `cols` exceeds the column count or `weights` is shorter
+/// than `cols.end`.
+pub fn spectral_accumulate(vectors: &Mat, weights: &[f64], cols: std::ops::Range<usize>) -> Mat {
     let n = vectors.nrows();
     assert!(
         cols.end <= vectors.ncols() && weights.len() >= cols.end,
         "spectral_accumulate: column range out of bounds"
     );
     let timer = crate::kernel_timer();
-    let mut out = match base {
-        Some(b) => {
-            assert_eq!(
-                (b.nrows(), b.ncols()),
-                (n, n),
-                "spectral_accumulate: base shape mismatch"
-            );
-            b.clone()
-        }
-        None => Mat::zeros(n, n),
-    };
     let p = cols.len();
-    if p == 0 || n == 0 {
-        crate::kernel_record("spectral_accumulate", timer);
-        return out;
-    }
     // Row-major panels of the selected columns: `plain` holds V[:, cols],
     // `scaled` the same columns pre-multiplied by their weights. Entry
     // (i,j) then becomes a contiguous dot product of two panel rows.
@@ -584,42 +524,13 @@ pub fn spectral_accumulate(
             scaled[i * p + t] = weights[k] * v;
         }
     }
-    const BAND_ROWS: usize = 16;
-    {
-        let bands: Vec<&mut [f64]> = out.as_mut_slice().chunks_mut(BAND_ROWS * n).collect();
-        let fill_band = |band_idx: usize, band: &mut [f64]| {
-            let row0 = band_idx * BAND_ROWS;
-            let band_rows = band.len() / n;
-            for bi in 0..band_rows {
-                let i = row0 + bi;
-                let srow = &scaled[i * p..(i + 1) * p];
-                let orow = &mut band[bi * n..(bi + 1) * n];
-                for (j, oj) in orow.iter_mut().enumerate().take(i + 1) {
-                    let prow = &plain[j * p..(j + 1) * p];
-                    let s: f64 = srow.iter().zip(prow.iter()).map(|(a, b)| a * b).sum();
-                    *oj += s;
-                }
-            }
-        };
-        // Adaptive cutover on the triangular dot-product work n²p/2:
-        // few selected columns (a projection's small side can hold one
-        // or two) make per-band work too small to amortize pool
-        // dispatch.
-        let work = n * n / 2 * p;
-        if gfp_parallel::should_parallelize(
-            work,
-            SPECTRAL_PARALLEL_WORK,
-            SPECTRAL_PARALLEL_WORK / 4,
-        ) {
-            gfp_parallel::parallel_for_each_chunk(bands, fill_band);
-        } else {
-            for (band_idx, band) in bands.into_iter().enumerate() {
-                fill_band(band_idx, band);
-            }
-        }
-    }
+    let mut out = Mat::zeros(n, n);
     for i in 0..n {
-        for j in 0..i {
+        let srow = &scaled[i * p..(i + 1) * p];
+        for j in 0..=i {
+            let prow = &plain[j * p..(j + 1) * p];
+            let s: f64 = srow.iter().zip(prow).map(|(a, b)| a * b).sum();
+            out[(i, j)] += s;
             out[(j, i)] = out[(i, j)];
         }
     }
@@ -761,9 +672,9 @@ mod tests {
         }
     }
 
-    /// `eigh`, `eigvalsh` and `spectral_side` read both triangles and
-    /// decompose the symmetric part: an asymmetric input gives bitwise
-    /// the result of its symmetrized copy.
+    /// `eigh` and `eigvalsh` read both triangles and decompose the
+    /// symmetric part: an asymmetric input gives bitwise the result of
+    /// its symmetrized copy.
     #[test]
     fn asymmetric_input_decomposes_as_its_symmetrized_copy() {
         for n in [2usize, 12, 33, 70] {
@@ -785,52 +696,6 @@ mod tests {
             );
             let (va, vs) = (eigvalsh(&a).unwrap(), eigvalsh(&s).unwrap());
             assert_bits(&va, &vs, &format!("{what} eigvalsh"));
-            let side = |m: &Mat| crate::spectral_side(m, 1e-9).unwrap();
-            match (side(&a), side(&s)) {
-                (None, None) => assert!(n < 8, "{what}: spectral_side refused"),
-                (Some(pa), Some(ps)) => {
-                    assert_eq!(pa.kind, ps.kind, "{what} side");
-                    assert_bits(&pa.values, &ps.values, &format!("{what} side values"));
-                    assert_bits(
-                        pa.vectors.as_slice(),
-                        ps.vectors.as_slice(),
-                        &format!("{what} side vectors"),
-                    );
-                }
-                _ => panic!("{what}: only one input resolved"),
-            }
-        }
-    }
-
-    /// The by-value entry points decompose an exactly symmetric matrix
-    /// bitwise as the borrowing ones do, on both routes of the PSD
-    /// projection (the partial solver refuses below order 8).
-    #[test]
-    fn owned_input_decomposes_as_the_borrowed_one() {
-        for n in [0usize, 1, 7, 12, 33, 70] {
-            let a = random_sym(900 + n as u64, n);
-            let what = format!("n={n}");
-            let (eo, eb) = (eigh_owned(a.clone()).unwrap(), eigh(&a).unwrap());
-            assert_bits(&eo.values, &eb.values, &format!("{what} eigh values"));
-            assert_bits(
-                eo.vectors.as_slice(),
-                eb.vectors.as_slice(),
-                &format!("{what} eigh vectors"),
-            );
-            let owned = crate::spectral_side_owned(a.clone(), 1e-9).unwrap();
-            match (owned, crate::spectral_side(&a, 1e-9).unwrap()) {
-                (None, None) => assert!(n < 8, "{what}: spectral_side refused"),
-                (Some(po), Some(pb)) => {
-                    assert_eq!(po.kind, pb.kind, "{what} side");
-                    assert_bits(&po.values, &pb.values, &format!("{what} side values"));
-                    assert_bits(
-                        po.vectors.as_slice(),
-                        pb.vectors.as_slice(),
-                        &format!("{what} side vectors"),
-                    );
-                }
-                _ => panic!("{what}: only one entry point resolved"),
-            }
         }
     }
 

@@ -10,19 +10,20 @@
 //! vectorization used by the conic solver ([`svec::svec`] /
 //! [`svec::smat`]).
 //!
-//! Everything is `f64` and deterministic: two kernels
-//! ([`spectral_accumulate`], and the reflector application inside
-//! [`spectral_side`]) are parallelized
-//! over the std-only `gfp-parallel` pool, but every floating-point
-//! accumulation keeps a fixed association order, so results are
-//! bitwise identical for every `GFP_THREADS` setting. [`Mat::matmul`],
-//! the Householder reduction behind [`eigh`] and [`spectral_side`], its
-//! bisection, the CSR products and [`SparseCholesky`] run serially: the
-//! solver runs no dense product (`matmul` serves tests and
-//! [`Eigh::reconstruct`]), one reduction step's O(m²) work is too small
-//! to pay for pool dispatch, a pool dispatch of the bisection bought
-//! nothing measurable, an ADMM iteration makes one `A·x`, and a
-//! triangular sweep is a chain of dependent updates.
+//! Everything is `f64` and deterministic: one kernel, the reflector
+//! application inside [`spectral_side`], is parallelized over the
+//! std-only `gfp-parallel` pool, but every floating-point accumulation
+//! keeps a fixed association order, so results are bitwise identical
+//! for every `GFP_THREADS` setting. [`Mat::matmul`],
+//! [`spectral_accumulate`], the Householder reduction behind [`eigh`]
+//! and [`spectral_side`], its bisection, the CSR products and
+//! [`SparseCholesky`] run serially: the solver runs no dense product
+//! (`matmul` serves tests and [`Eigh::reconstruct`]),
+//! [`spectral_accumulate`] builds one `W` per convex iteration, one
+//! reduction step's O(m²) work is too small to pay for pool dispatch, a
+//! pool dispatch of the bisection bought nothing measurable, an ADMM
+//! iteration makes one `A·x`, and a triangular sweep is a chain of
+//! dependent updates.
 //!
 //! # Example
 //!
@@ -51,12 +52,12 @@ pub mod svec;
 pub mod vec_ops;
 
 pub use chol::{Cholesky, Ldlt};
-pub use eigen::{eigh, eigh_owned, eigvalsh, spectral_accumulate, Eigh};
+pub use eigen::{eigh, eigvalsh, spectral_accumulate, Eigh};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use mat::Mat;
 pub use sparse_chol::SparseCholesky;
-pub use tridiag::{spectral_side, spectral_side_owned, SideKind, SpectralSide};
+pub use tridiag::{spectral_side, SideKind, SpectralSide};
 
 /// Starts a wall-clock sample for a kernel-level telemetry counter,
 /// but only when telemetry is enabled (zero cost otherwise).

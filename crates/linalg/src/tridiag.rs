@@ -26,7 +26,7 @@
 
 use std::ops::Range;
 
-use crate::eigen::{checked, square_dim, symmetric_copy, tred2_reduce};
+use crate::eigen::{checked, square_dim, tred2_reduce};
 use crate::{LinalgError, Mat};
 use gfp_rand::Rng;
 
@@ -108,11 +108,16 @@ struct Tridiagonal {
 }
 
 impl Tridiagonal {
-    /// [`spectral_side`]'s prelude: the checked working matrix `q`
-    /// (exactly symmetric) reduced by `tred2_reduce`, with the
-    /// Gershgorin bound. `timer` was started before the working matrix
-    /// was made.
-    fn reduce(mut q: Mat, timer: Option<std::time::Instant>) -> Self {
+    /// [`spectral_side`]'s prelude: the exactly symmetric `a` behind
+    /// `eigh`'s fault hook and the NaN/Inf guard, reduced in place by
+    /// `tred2_reduce`, with the Gershgorin bound.
+    fn reduce(a: Mat) -> Result<Self, LinalgError> {
+        let timer = crate::kernel_timer();
+        // Same fault surface as `eigh`: this routine replaces it on the
+        // projection hot path, so injected eigendecomposition faults
+        // must reach it too (a stall here falls back to the dense
+        // route).
+        let mut q = checked(a, "spectral_side", "spectral_side input")?;
         let n = q.nrows();
         let mut hh = vec![0.0; n];
         let mut e = vec![0.0; n];
@@ -124,14 +129,14 @@ impl Tridiagonal {
             let hi = if i + 1 < n { e[i + 1].abs() } else { 0.0 };
             scale = scale.max(d[i].abs() + lo + hi);
         }
-        Tridiagonal {
+        Ok(Tridiagonal {
             q,
             hh,
             d,
             e,
             scale,
             timer,
-        }
+        })
     }
 
     /// Closes the call's `kernel.spectral_side` wall-time sample.
@@ -249,62 +254,33 @@ impl Tridiagonal {
 /// resolved; callers treat them as zero, which is exactly the
 /// truncation the PSD projection already permits at this tolerance.
 ///
-/// Like [`crate::eigh`], it reads both triangles of `a` and resolves
-/// the symmetric part `0.5·(a[(i,j)] + a[(j,i)])`, so a nearly
-/// symmetric input and its symmetrized copy give bitwise the same
-/// result.
+/// `a` is taken by value, as the reduction's working matrix, and must
+/// be exactly symmetric (as [`crate::svec::smat`] builds it): unlike
+/// [`crate::eigh`], no symmetrized copy is made. Other input is a
+/// caller bug (debug builds assert).
 ///
 /// # Errors
 ///
 /// [`LinalgError::NotSquare`] for non-square input and
 /// [`LinalgError::NonFinite`] for NaN/Inf input; an injected
 /// `Site::Eigh` stall surfaces as [`LinalgError::NoConvergence`].
-pub fn spectral_side(a: &Mat, rel_cut: f64) -> Result<Option<SpectralSide>, LinalgError> {
-    if square_dim(a)? < MIN_N {
+pub fn spectral_side(a: Mat, rel_cut: f64) -> Result<Option<SpectralSide>, LinalgError> {
+    let n = square_dim(&a)?;
+    if n < MIN_N {
         return Ok(None);
     }
-    let timer = crate::kernel_timer();
-    // Same fault surface as `eigh`: this routine replaces it on the
-    // projection hot path, so injected eigendecomposition faults must
-    // reach it too (a stall here falls back to the dense route).
-    let q = symmetric_copy(a, "spectral_side", "spectral_side input")?;
-    Ok(side_of(Tridiagonal::reduce(q, timer), rel_cut))
-}
-
-/// [`spectral_side`] of an exactly symmetric matrix taken by value:
-/// the reduction works in `a` itself, with no working copy and no
-/// symmetrization pass, behind the same fault hook and NaN/Inf guard.
-/// On an exactly symmetric matrix (as [`crate::svec::smat`] builds
-/// one) the result is bitwise `spectral_side(&a, rel_cut)`'s; other
-/// input is a caller bug (debug builds assert).
-///
-/// # Errors
-///
-/// Same conditions as [`spectral_side`].
-pub fn spectral_side_owned(a: Mat, rel_cut: f64) -> Result<Option<SpectralSide>, LinalgError> {
-    if square_dim(&a)? < MIN_N {
-        return Ok(None);
-    }
-    let timer = crate::kernel_timer();
-    let q = checked(a, "spectral_side", "spectral_side input")?;
-    Ok(side_of(Tridiagonal::reduce(q, timer), rel_cut))
-}
-
-/// The side search behind [`spectral_side`] and
-/// [`spectral_side_owned`] on the reduced matrix `t`.
-fn side_of(t: Tridiagonal, rel_cut: f64) -> Option<SpectralSide> {
-    let n = t.d.len();
+    let t = Tridiagonal::reduce(a)?;
     let scale = t.scale;
     if scale == 0.0 {
         // Zero matrix: nothing beyond any cut on either side.
         t.record();
-        return Some(SpectralSide {
+        return Ok(Some(SpectralSide {
             kind: SideKind::Negative,
             values: Vec::new(),
             vectors: Mat::zeros(n, 0),
             scale,
             other_count: 0,
-        });
+        }));
     }
     let cut = rel_cut * scale;
 
@@ -324,13 +300,13 @@ fn side_of(t: Tridiagonal, rel_cut: f64) -> Option<SpectralSide> {
     };
     let got = t.certify_range(targets, blo, bhi, cut);
     t.record();
-    got.map(|(values, vectors)| SpectralSide {
+    Ok(got.map(|(values, vectors)| SpectralSide {
         kind,
         values,
         vectors,
         scale,
         other_count,
-    })
+    }))
 }
 
 /// Number of eigenvalues of the tridiagonal `(d, e)` strictly below
@@ -867,7 +843,7 @@ mod tests {
     /// same projector onto the side's subspace.
     fn check_against_dense(m: &Mat, rel_cut: f64) {
         let n = m.nrows();
-        let side = spectral_side(m, rel_cut)
+        let side = spectral_side(m.clone(), rel_cut)
             .expect("spectral_side failed")
             .expect("dense fallback requested unexpectedly");
         let dense = eigh(m).unwrap();
@@ -895,9 +871,8 @@ mod tests {
         // Compare projectors (eigenvectors are sign/rotation
         // ambiguous, the projector is not).
         let ones = vec![1.0; n];
-        let p_part =
-            crate::spectral_accumulate(&side.vectors, &ones, 0..side.values.len(), None);
-        let p_dense = crate::spectral_accumulate(&dense.vectors, &ones, range, None);
+        let p_part = crate::spectral_accumulate(&side.vectors, &ones, 0..side.values.len());
+        let p_dense = crate::spectral_accumulate(&dense.vectors, &ones, range);
         let diff = (&p_part - &p_dense).norm_max();
         assert!(diff < 1e-7, "projector mismatch: {diff:.3e}");
         // Residuals on the original matrix.
@@ -953,7 +928,7 @@ mod tests {
             }
         }
         let m = x.matmul(&x.transpose());
-        let side = spectral_side(&m, 1e-9).unwrap().unwrap();
+        let side = spectral_side(m.clone(), 1e-9).unwrap().unwrap();
         assert_eq!(side.kind, SideKind::Negative);
         assert!(side.values.is_empty(), "PSD Gram has no negative side");
         assert_eq!(side.other_count, 3);
@@ -970,8 +945,8 @@ mod tests {
         lam[0] = -3.0;
         lam[1] = -3.0;
         lam[2] = -3.0;
-        let m = crate::spectral_accumulate(&basis, &lam, 0..n, None);
-        let side = spectral_side(&m, 1e-9).unwrap().unwrap();
+        let m = crate::spectral_accumulate(&basis, &lam, 0..n);
+        let side = spectral_side(m.clone(), 1e-9).unwrap().unwrap();
         assert_eq!(side.kind, SideKind::Negative);
         assert_eq!(side.values.len(), 3);
         for v in &side.values {
@@ -982,7 +957,7 @@ mod tests {
 
     #[test]
     fn zero_matrix_reports_empty_side() {
-        let side = spectral_side(&Mat::zeros(16, 16), 1e-9).unwrap().unwrap();
+        let side = spectral_side(Mat::zeros(16, 16), 1e-9).unwrap().unwrap();
         assert!(side.values.is_empty());
         assert_eq!(side.other_count, 0);
     }
@@ -1126,11 +1101,11 @@ mod tests {
         for i in 0..n {
             g[(i, i)] -= 1e-3;
         }
-        let side = spectral_side(&g, 1e-8).unwrap().unwrap();
+        let side = spectral_side(g, 1e-8).unwrap().unwrap();
         assert_eq!(side.kind, SideKind::Positive);
         assert_eq!(side.vectors.ncols(), 2);
-        let w =
-            crate::spectral_accumulate(&side.vectors, &[-1.0, -1.0], 0..2, Some(&Mat::identity(n)));
+        let mut w = crate::spectral_accumulate(&side.vectors, &[-1.0, -1.0], 0..2);
+        w += &Mat::identity(n);
         // W is the projector complement: trace = n − 2, idempotent.
         assert!((w.trace() - (n - 2) as f64).abs() < 1e-6);
         let diff = (&w.matmul(&w) - &w).norm_max();
@@ -1147,7 +1122,7 @@ mod tests {
         for workers in [1usize, 2, 8] {
             let pool = gfp_parallel::ThreadPool::new(workers);
             runs.push(gfp_parallel::with_pool(&pool, || {
-                let side = spectral_side(&m, 1e-9).unwrap().unwrap();
+                let side = spectral_side(m.clone(), 1e-9).unwrap().unwrap();
                 [side.values, side.vectors.as_slice().to_vec()]
             }));
         }

@@ -97,7 +97,7 @@ fn spectral_accumulate_is_bitwise_deterministic() {
     let e = eigh(&m).expect("eigh");
     let weights: Vec<f64> = e.values.iter().map(|l| l.abs()).collect();
     check_across_pools("spectral_accumulate", || {
-        spectral_accumulate(&e.vectors, &weights, 0..n / 2, Some(&m))
+        spectral_accumulate(&e.vectors, &weights, 0..n / 2)
             .as_slice()
             .to_vec()
     });

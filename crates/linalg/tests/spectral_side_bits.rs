@@ -75,7 +75,7 @@ fn random_sym(seed: u64, n: usize, shift: f64) -> Mat {
 /// The case's digest and the side it resolved (`None`: dense route).
 fn digest(a: &Mat) -> (u64, Option<SideKind>) {
     let mut h = Fnv::new();
-    let side = spectral_side(a, 1e-9).expect("finite square input");
+    let side = spectral_side(a.clone(), 1e-9).expect("finite square input");
     match &side {
         None => h.word(u64::MAX),
         Some(side) => {
